@@ -2,10 +2,12 @@
 
 The engine is Buchberger's algorithm with normal-pair selection (a
 degree-ordered queue) and the standard pair filters (product and chain
-criteria, applied Gebauer-Moeller style).  Internally reductions run
-fraction-free over primitive integer coefficient vectors; the reduced
-basis handed back is monic over Q, sorted ascending by leading term,
-and therefore canonical for the ideal and order.
+criteria, applied Gebauer-Moeller style).  Every reduction, the public
+`normal_form` included, runs in one fraction-free kernel over integer
+terms keyed by the order's sort key; `normal_form` divides the kernel's
+remainder by the scale it accumulated.  The reduced basis handed back is
+monic over Q, sorted ascending by leading term, and therefore canonical
+for the ideal and order.
 
 Also here: elimination via block orders, saturation by the auxiliary
 variable trick (t*f - 1), minors of polynomial matrices, and the
@@ -18,7 +20,7 @@ import itertools
 import re
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import add
 
 from .errors import GuardrailError, ParseError
@@ -29,6 +31,7 @@ from .ring import (
     MonomialOrder,
     PolyRing,
     Polynomial,
+    _restrict_order,
     map_to_ring,
     parse_polynomial,
     print_polynomial,
@@ -94,12 +97,13 @@ class Ideal:
 class GroebnerBasis:
     """A reduced Groebner basis: monic elements, ascending leading terms."""
 
-    __slots__ = ("ideal", "basis", "order")
+    __slots__ = ("ideal", "basis", "order", "_reducers")
 
     def __init__(self, ideal: Ideal, basis, order: MonomialOrder):
         self.ideal = ideal
         self.basis = tuple(basis)
         self.order = order
+        self._reducers = None  # the basis as kernel reducers, made on first use
 
     def __iter__(self):
         return iter(self.basis)
@@ -145,16 +149,13 @@ def _normalize_content(terms):
 
 
 def _int_terms(poly: Polynomial, key):
-    terms = poly.terms
-    if not terms:
-        return []
-    denom_lcm = 1
-    for _, c in terms:
-        d = c.denominator
-        denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-    return _normalize_content(
-        [(key(m), m, int(c * denom_lcm)) for m, c in terms]
-    )
+    """Keyed terms of poly times the lcm of its denominators, and that lcm."""
+    d = lcm(*(c.denominator for _, c in poly.terms))
+    return [(key(m), m, c.numerator * (d // c.denominator)) for m, c in poly.terms], d
+
+
+def _primitive_terms(poly: Polynomial, key):
+    return _normalize_content(_int_terms(poly, key)[0])
 
 
 def _shifted(terms, shift, key):
@@ -220,15 +221,16 @@ def _combine(f, a, g, b):
     return out
 
 
-def _reduce_full(p, reducers, key):
-    """Fraction-free full normal form of keyed term list p.
+def _divide(p, reducers, key):
+    """Fraction-free full division of keyed term list p: the one reduction loop.
 
-    reducers: list of (lt, lc, terms, mask) sorted ascending by leading
-    term, scanned first-match.  Returns a primitive remainder; the
-    result is a nonzero rational multiple of the true normal form.
+    reducers: list of (lt, lc, terms, mask), scanned first-match in list
+    order for each leading remaining term.  Returns (rem, scale) with
+    scale a positive integer and rem/scale the exact remainder of p.
     """
     rem: list = []
     work = list(p)
+    scale = 1
     k = 0
     while k < len(work):
         _, lm, lc = work[k]
@@ -258,15 +260,25 @@ def _reduce_full(p, reducers, key):
             a, b = -a, -b
         work = _combine(work[k + 1 :], a, _shifted(gterms[1:], shift, key), -b)
         k = 0
-        if rem and a != 1:
-            rem = [(kk, m, c * a) for kk, m, c in rem]
-    return _normalize_content(rem)
+        if a != 1:
+            scale *= a
+            if rem:
+                rem = [(kk, m, c * a) for kk, m, c in rem]
+    return rem, scale
+
+
+def _reduce_full(p, reducers, key):
+    """Primitive full normal form of p: a nonzero rational multiple of the remainder."""
+    return _normalize_content(_divide(p, reducers, key)[0])
 
 
 def _make_reducers(term_lists):
-    recs = [(t[0][1], t[0][2], t, _mask(t[0][1])) for t in term_lists if t]
-    recs.sort(key=lambda r: r[2][0][0])
-    return recs
+    """Kernel reducers for nonzero keyed term lists, in list order."""
+    return [(t[0][1], t[0][2], t, _mask(t[0][1])) for t in term_lists if t]
+
+
+def _divisors(polys, key):
+    return _make_reducers([_primitive_terms(g, key) for g in polys])
 
 
 def _spair_terms(f, g, key):
@@ -322,8 +334,7 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
             key_cache[m] = k = raw_key(m)
         return k
 
-    inputs = [_int_terms(g, key) for g in ideal.generators]
-    inputs = [t for t in inputs if t]
+    inputs = [_primitive_terms(g, key) for g in ideal.generators]
     inputs.sort(key=lambda t: (t[0][0], t))
 
     basis: list = []  # keyed term lists
@@ -413,7 +424,9 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         out.append(
             Polynomial._raw(ring, tuple((m, Fraction(c, lc)) for _, m, c in t))
         )
-    return GroebnerBasis(ideal, out, order)
+    gb = GroebnerBasis(ideal, out, order)
+    gb._reducers = _make_reducers(reduced)
+    return gb
 
 
 # ---------------------------------------------------------------------------
@@ -426,62 +439,27 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     Deterministic: at each step the leading remaining term is reduced
     by the first divisor in list order; irreducible terms move to the
     remainder.  f - normal_form(f, G) lies in the ideal generated by G.
+    A GroebnerBasis is scanned in basis order.
     """
-    if isinstance(basis, GroebnerBasis):
-        basis = basis.basis
     ring = f.ring
-    reducers = []
-    for g in basis:
-        if g.ring != ring:
+    key = ring.order.sort_key
+    if isinstance(basis, GroebnerBasis):
+        if basis.ideal.ring != ring:
+            raise ValueError("Groebner basis lives in a different ring")
+        if basis._reducers is None:
+            basis._reducers = _divisors(basis.basis, key)
+        reducers = basis._reducers
+    else:
+        basis = list(basis)
+        if any(g.ring != ring for g in basis):
             raise ValueError("divisor lives in a different ring")
-        if g.terms:
-            reducers.append((g.terms[0][0], g.terms[0][1], g.terms, _mask(g.terms[0][0])))
-    cmp = ring.order.compare
-    rem: list = []
-    work = list(f.terms)
-    k = 0
-    while k < len(work):
-        lm, lc = work[k]
-        mmask = _mask(lm)
-        hit = None
-        for lt, ltc, gterms, gmask in reducers:
-            if gmask & ~mmask:
-                continue
-            if _monomial_divides(lt, lm):
-                hit = (lt, ltc, gterms)
-                break
-        if hit is None:
-            rem.append(work[k])
-            k += 1
-            continue
-        lt, ltc, gterms = hit
-        shift = tuple(x - y for x, y in zip(lm, lt))
-        c = lc / ltc
-        shifted = [
-            (tuple(a + b for a, b in zip(m, shift)), -c * cc) for m, cc in gterms[1:]
-        ]
-        out = []
-        i = j = 0
-        tail = work[k + 1 :]
-        while i < len(tail) and j < len(shifted):
-            cc = cmp(tail[i][0], shifted[j][0])
-            if cc > 0:
-                out.append(tail[i])
-                i += 1
-            elif cc < 0:
-                out.append(shifted[j])
-                j += 1
-            else:
-                v = tail[i][1] + shifted[j][1]
-                if v:
-                    out.append((tail[i][0], v))
-                i += 1
-                j += 1
-        out.extend(tail[i:])
-        out.extend(shifted[j:])
-        work = out
-        k = 0
-    return Polynomial._raw(ring, tuple(rem))
+        reducers = _divisors(basis, key)
+    if not reducers or not f.terms:
+        return f
+    p, denom = _int_terms(f, key)
+    rem, scale = _divide(p, reducers, key)
+    scale *= denom
+    return Polynomial._raw(ring, tuple((m, Fraction(c, scale)) for _, m, c in rem))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -505,37 +483,23 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 def ideal_contains(ideal: Ideal, f: Polynomial) -> bool:
     if f.ring != ideal.ring:
         raise ValueError("polynomial lives in a different ring")
-    return not normal_form(f, ideal.groebner().basis).terms
+    return not normal_form(f, ideal.groebner()).terms
 
 
 def ideal_equal(a: Ideal, b: Ideal) -> bool:
     """Mutual containment via reduction against the other side's basis."""
     if a.ring != b.ring:
         raise ValueError("ideals live in different rings")
-    if a is b:
-        return True
-    gb_b = b.groebner().basis
-    if any(normal_form(g, gb_b).terms for g in a.generators):
-        return False
-    gb_a = a.groebner().basis
-    return not any(normal_form(g, gb_a).terms for g in b.generators)
+    return a is b or (_ideal_leq(a, b) and _ideal_leq(b, a))
 
 
 def _ideal_leq(a: Ideal, b: Ideal) -> bool:
-    gb_b = b.groebner().basis
+    gb_b = b.groebner()
     return not any(normal_form(g, gb_b).terms for g in a.generators)
 
 
 # ---------------------------------------------------------------------------
 # elimination and saturation
-
-
-def _restricted_order(order: MonomialOrder, k: int) -> MonomialOrder:
-    if order.kind == "block" and order.block_size > k:
-        return MonomialOrder.block(order.block_size - k)
-    if order.kind == "lex":
-        return LEX
-    return GREVLEX
 
 
 def eliminate(ideal: Ideal, k: int) -> Ideal:
@@ -553,12 +517,27 @@ def eliminate(ideal: Ideal, k: int) -> Ideal:
     block_ring = PolyRing(ring.variables, MonomialOrder.block(k))
     gb = Ideal(block_ring, [map_to_ring(g, block_ring) for g in ideal.generators]).groebner()
     zeros = (0,) * k
-    sub = PolyRing(ring.variables[k:], _restricted_order(ring.order, k))
+    sub = PolyRing(ring.variables[k:], _restrict_order(ring.order, range(k, n)))
     gens = []
     for g in gb.basis:
         if all(m[:k] == zeros for m, _ in g.terms):
             gens.append(sub.poly([(m[k:], c) for m, c in g.terms]))
     return Ideal(sub, gens)
+
+
+def _eliminate_aux(ring: PolyRing, purpose: str, gens) -> Ideal:
+    """Eliminate the auxiliary variable t from the ideal gens(t) builds.
+
+    t is prepended to the ring's variables under block(1); gens maps
+    the generator t of that extension ring to the extension's generators.
+    """
+    if SATURATION_VARIABLE in ring.variables:
+        raise ValueError(
+            f"variable name {SATURATION_VARIABLE!r} is reserved for {purpose}"
+        )
+    ext = PolyRing((SATURATION_VARIABLE,) + ring.variables, MonomialOrder.block(1))
+    elim = eliminate(Ideal(ext, gens(ext.gen(0))), 1)
+    return Ideal(ring, [map_to_ring(g, ring) for g in elim.generators])
 
 
 def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
@@ -568,16 +547,14 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
         raise ValueError("polynomial lives in a different ring")
     if not f.terms:
         raise ValueError("cannot saturate by the zero polynomial")
-    if SATURATION_VARIABLE in ring.variables:
-        raise ValueError(
-            f"variable name {SATURATION_VARIABLE!r} is reserved for saturation"
-        )
-    ext = PolyRing((SATURATION_VARIABLE,) + ring.variables, MonomialOrder.block(1))
-    t = ext.gen(0)
-    gens = [map_to_ring(g, ext) for g in ideal.generators]
-    gens.append(t * map_to_ring(f, ext) - 1)
-    elim = eliminate(Ideal(ext, gens), 1)
-    return Ideal(ring, [map_to_ring(g, ring) for g in elim.generators])
+
+    def gens(t):
+        ext = t.ring
+        return [map_to_ring(g, ext) for g in ideal.generators] + [
+            t * map_to_ring(f, ext) - 1
+        ]
+
+    return _eliminate_aux(ring, "saturation", gens)
 
 
 def saturate_by_product(ideal: Ideal, factors) -> Ideal:
@@ -610,16 +587,14 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     ring = a.ring
     if not a.generators or not b.generators:
         return Ideal(ring, ())
-    if SATURATION_VARIABLE in ring.variables:
-        raise ValueError(
-            f"variable name {SATURATION_VARIABLE!r} is reserved for intersection"
-        )
-    ext = PolyRing((SATURATION_VARIABLE,) + ring.variables, MonomialOrder.block(1))
-    t = ext.gen(0)
-    gens = [t * map_to_ring(g, ext) for g in a.generators]
-    gens += [(ext.one() - t) * map_to_ring(g, ext) for g in b.generators]
-    elim = eliminate(Ideal(ext, gens), 1)
-    return Ideal(ring, [map_to_ring(g, ring) for g in elim.generators])
+
+    def gens(t):
+        ext = t.ring
+        return [t * map_to_ring(g, ext) for g in a.generators] + [
+            (ext.one() - t) * map_to_ring(g, ext) for g in b.generators
+        ]
+
+    return _eliminate_aux(ring, "intersection", gens)
 
 
 def krull_dimension(gb: GroebnerBasis) -> int:

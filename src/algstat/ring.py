@@ -104,18 +104,8 @@ class MonomialOrder:
         """-1, 0, or 1 as a <, =, > b.  Vectors must have equal length."""
         if len(a) != len(b):
             raise ValueError("exponent vectors have different lengths")
-        if a == b:
-            return 0
-        kind = self.kind
-        if kind == "grevlex":
-            return _cmp_grevlex(a, b, 0, len(a))
-        if kind == "lex":
-            return 1 if a > b else -1
-        k = self.block_size
-        c = _cmp_grevlex(a, b, 0, k)
-        if c:
-            return c
-        return _cmp_grevlex(a, b, k, len(a))
+        ka, kb = self.sort_key(a), self.sort_key(b)
+        return (ka > kb) - (ka < kb)
 
     def __eq__(self, other):
         return (
@@ -129,19 +119,6 @@ class MonomialOrder:
 
     def __repr__(self):
         return f"MonomialOrder({self.name})"
-
-
-def _cmp_grevlex(a: Monomial, b: Monomial, lo: int, hi: int) -> int:
-    da = sum(a[lo:hi])
-    db = sum(b[lo:hi])
-    if da != db:
-        return 1 if da > db else -1
-    for i in range(hi - 1, lo - 1, -1):
-        d = a[i] - b[i]
-        if d:
-            # rightmost difference negative means the first monomial wins
-            return 1 if d < 0 else -1
-    return 0
 
 
 LEX = MonomialOrder("lex")
@@ -471,7 +448,7 @@ class Polynomial:
             return ring.constant(total)
         target = PolyRing(
             tuple(ring.variables[i] for i in unbound),
-            _restrict_order(ring.order, unbound, ring.nvars),
+            _restrict_order(ring.order, unbound),
         )
         out = []
         for m, c in self.terms:
@@ -522,7 +499,8 @@ class Polynomial:
         return f"<{print_polynomial(self)}>"
 
 
-def _restrict_order(order: MonomialOrder, keep: list[int], nvars: int) -> MonomialOrder:
+def _restrict_order(order: MonomialOrder, keep) -> MonomialOrder:
+    """The order induced on the variables at the ascending indices ``keep``."""
     if order.kind == "block":
         k = sum(1 for i in keep if i < order.block_size)
         if 0 < k < len(keep):

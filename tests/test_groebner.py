@@ -8,6 +8,7 @@ import pytest
 from algstat import (
     GREVLEX,
     LEX,
+    GroebnerBasis,
     GuardrailError,
     Ideal,
     InputError,
@@ -66,6 +67,85 @@ def test_normal_form_zero_inputs():
     assert normal_form(r.zero(), [r.gen(0)]).is_zero()
     f = parse_polynomial("x + 1", r)
     assert normal_form(f, []) == f
+
+
+def test_normal_form_rejects_other_rings():
+    r = _ring(("x", "y"))
+    other = _ring(("x", "z"))
+    f = parse_polynomial("x^2 + y", r)
+    with pytest.raises(ValueError):
+        normal_form(f, [parse_polynomial("x", other)])
+    with pytest.raises(ValueError):
+        normal_form(f, _ideal(other, "x").groebner())
+
+
+def _oracle_remainder(f, divisors, order):
+    """Textbook division over Fractions: the leading remaining term is
+    reduced by the first divisor in list order whose leading monomial
+    divides it, or else moves to the remainder."""
+    key = order.sort_key
+    p = dict(f.terms)
+    divs = []
+    for g in divisors:
+        terms = dict(g.terms)
+        if terms:
+            divs.append((max(terms, key=key), terms))
+    rem = {}
+    while p:
+        m = max(p, key=key)
+        for lt, terms in divs:
+            if all(x <= y for x, y in zip(lt, m)):
+                q = p[m] / terms[lt]
+                shift = [y - x for x, y in zip(lt, m)]
+                for gm, gc in terms.items():
+                    sm = tuple(a + b for a, b in zip(gm, shift))
+                    v = p.get(sm, 0) - q * gc
+                    if v:
+                        p[sm] = v
+                    else:
+                        del p[sm]
+                break
+        else:
+            rem[m] = p.pop(m)
+    return tuple(sorted(rem.items(), key=lambda t: key(t[0]), reverse=True))
+
+
+def _random_fraction_poly(ring, rng, nterms, maxdeg):
+    return ring.poly(
+        [
+            (
+                tuple(rng.randint(0, maxdeg) for _ in range(ring.nvars)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+            )
+            for _ in range(nterms)
+        ]
+    )
+
+
+def test_normal_form_matches_division_oracle():
+    rng = random.Random(61)
+    orders = [LEX, GREVLEX, MonomialOrder.block(1), MonomialOrder.block(2)]
+    for _ in range(100):
+        for order in orders:
+            r = _ring(tuple(f"x_{k}" for k in range(rng.randint(3, 4))), order)
+            divisors = [
+                _random_fraction_poly(r, rng, rng.randint(1, 3), 2)
+                for _ in range(rng.randint(1, 3))
+            ]
+            f = _random_fraction_poly(r, rng, rng.randint(1, 6), 4)
+            assert normal_form(f, divisors).terms == _oracle_remainder(f, divisors, order)
+
+
+def test_normal_form_by_groebner_basis_matches_its_list():
+    rng = random.Random(67)
+    r = _ring(("x", "y", "z"))
+    gb = _ideal(r, "x^2 - 2*y*z", "3*x*y - z^2", "y^3 - x").groebner()
+    built = GroebnerBasis(gb.ideal, gb.basis, gb.order)
+    for _ in range(20):
+        f = _random_fraction_poly(r, rng, 5, 4)
+        expected = normal_form(f, list(gb.basis))
+        assert normal_form(f, gb) == expected
+        assert normal_form(f, built) == expected
 
 
 def test_s_polynomial():
@@ -192,6 +272,22 @@ def test_eliminate_rejects_bad_counts():
     assert eliminate(i, 0) is i
 
 
+def test_eliminate_restricts_the_ring_order():
+    names = ("a", "b", "c", "x", "y")
+    cases = [
+        (LEX, 1, LEX),
+        (GREVLEX, 2, GREVLEX),
+        (MonomialOrder.block(3), 1, MonomialOrder.block(2)),
+        (MonomialOrder.block(3), 2, MonomialOrder.block(1)),
+        (MonomialOrder.block(3), 3, GREVLEX),
+        (MonomialOrder.block(1), 1, GREVLEX),
+    ]
+    for order, k, expected in cases:
+        r = _ring(names, order)
+        out = eliminate(_ideal(r, "x - a*b", "y - c"), k)
+        assert out.ring == _ring(names[k:], expected)
+
+
 # -------------------------------------------------------------- saturation
 
 
@@ -214,6 +310,15 @@ def test_saturate_fixed_when_multiplier_is_nonzerodivisor():
     i = _ideal(r, "x^2 - y")
     out = saturate(i, parse_polynomial("y", r))
     assert ideal_equal(out, i)
+
+
+def test_saturate_and_intersect_reserve_t():
+    r = _ring(("t", "x"))
+    i = _ideal(r, "t*x")
+    with pytest.raises(ValueError, match="reserved for saturation"):
+        saturate(i, parse_polynomial("x", r))
+    with pytest.raises(ValueError, match="reserved for intersection"):
+        intersect(i, _ideal(r, "x"))
 
 
 def test_saturate_by_product_examples():
@@ -393,6 +498,14 @@ def test_parse_ideal_text_errors():
     with pytest.raises(InputError) as exc:
         parse_ideal_text("ring x y\nx +\n")
     assert "line" in str(exc.value)
+
+
+def test_block_orders_have_no_text_form():
+    with pytest.raises(InputError):
+        parse_ideal_text("ring t x\norder block 1\nt - x\n")
+    r = _ring(("t", "x"), MonomialOrder.block(1))
+    with pytest.raises(ValueError):
+        format_ideal(_ideal(r, "t - x"))
 
 
 def test_ideal_file_round_trip():

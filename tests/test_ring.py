@@ -63,17 +63,47 @@ def test_block_order_requires_positive_k():
         MonomialOrder.block(0)
 
 
+def _textbook_grevlex(a, b):
+    """Higher degree wins; on a tie, the rightmost nonzero entry of a - b
+    being negative means a wins."""
+    if sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return 1 if x - y < 0 else -1
+    return 0
+
+
+def _textbook_compare(order, a, b):
+    if order.kind == "lex":
+        for x, y in zip(a, b):
+            if x != y:
+                return 1 if x > y else -1
+        return 0
+    if order.kind == "grevlex":
+        return _textbook_grevlex(a, b)
+    # block(k): grevlex on the first k exponents, ties broken by grevlex on the rest
+    k = order.block_size
+    return _textbook_grevlex(a[:k], b[:k]) or _textbook_grevlex(a[k:], b[k:])
+
+
 def test_sort_key_agrees_with_compare():
     rng = random.Random(29)
-    orders = [LEX, GREVLEX, MonomialOrder.block(2)]
+    orders = [LEX, GREVLEX, MonomialOrder.block(1), MonomialOrder.block(2)]
     for _ in range(200):
         a = tuple(rng.randint(0, 5) for _ in range(4))
         b = tuple(rng.randint(0, 5) for _ in range(4))
         for order in orders:
-            c = order.compare(a, b)
+            c = _textbook_compare(order, a, b)
+            assert order.compare(a, b) == c
             ka, kb = order.sort_key(a), order.sort_key(b)
             assert (ka > kb) == (c > 0)
             assert (ka == kb) == (c == 0)
+
+
+def test_compare_rejects_unequal_lengths():
+    with pytest.raises(ValueError):
+        GREVLEX.compare((1, 0), (1, 0, 0))
 
 
 def test_orders_respect_multiplication():
