@@ -304,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--saturate-singular",
         action="store_true",
-        help="also saturate at the Jacobian minors (ideal input only)",
+        help="also saturate the model ideal at its Jacobian's codimension-sized "
+        "minors, dropping its components inside that locus (ideal input only)",
     )
 
     p = sub.add_parser("ml-degree", help="maximum-likelihood degree of a model")

@@ -558,22 +558,15 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
 
 
 def saturate_by_product(ideal: Ideal, factors) -> Ideal:
-    """I : (f1*...*fm)^infinity, by single saturations iterated to a fixed point."""
-    factors = list(factors)
-    if not factors:
-        return ideal
-    current = ideal
-    while True:
-        changed = False
-        for f in factors:
-            nxt = saturate(current, f)
-            # saturation only grows the ideal, so one containment decides equality
-            if _ideal_leq(nxt, current):
-                continue
-            current = nxt
-            changed = True
-        if not changed:
-            return current
+    """I : (f1*...*fm)^infinity, by one saturation per factor.
+
+    (I : f^infinity) : g^infinity = I : (f*g)^infinity (Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, Ch. 4), so one pass over
+    the factors, in any order, gives the saturation by their product.
+    """
+    for f in factors:
+        ideal = saturate(ideal, f)
+    return ideal
 
 
 def intersect(a: Ideal, b: Ideal) -> Ideal:

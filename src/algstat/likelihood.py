@@ -148,11 +148,11 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
     generators, impose u_i = p_i * sum_j lambda_j df_j/dp_i, saturate
     at (prod p)(sum p), then eliminate the lambda block.
 
-    ``saturate_singular`` additionally saturates at the ideal of
-    codimension-sized minors of the Jacobian of the generators before
-    eliminating, removing components supported on the singular locus.
-    The default skips this; models smooth away from the coordinate
-    hyperplanes do not need it.
+    ``saturate_singular`` additionally saturates the model ideal in Q[p]
+    at the codimension-sized minors of the Jacobian of its generators,
+    before the graph relations are attached.  That drops only the
+    components of the model ideal lying inside the Jacobian's degeneracy
+    locus; a prime ideal, however singular its variety, is unchanged.
     """
     p_ring = ideal.ring
     p_names = p_ring.variables
@@ -210,16 +210,10 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
                 grad = grad + lam[j] * df
         gens.append(u[i] - p[i] * grad)
 
+    # eliminate returns the reduced basis in Q[p, u] under grevlex
     elim = eliminate(Ideal(work, gens), r + 1)
-
-    target = PolyRing(p_names + u_names, GREVLEX)
-    out = tuple(
-        map_to_ring(g, target).primitive_part()
-        for g in Ideal(target, [map_to_ring(g, target) for g in elim.generators])
-        .groebner()
-        .basis
-    )
-    return LikelihoodIdeal(target, out, "lagrange", "full")
+    out = tuple(g.primitive_part() for g in elim.generators)
+    return LikelihoodIdeal(elim.ring, out, "lagrange", "full")
 
 
 def compute_lc(model_input, saturation: str = "full", saturate_singular: bool = False) -> LikelihoodIdeal:

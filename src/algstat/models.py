@@ -55,10 +55,12 @@ class SplitMix64:
         return Fraction(self.next_u64() >> 11, 1 << 53)
 
     def next_int(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], by rejection."""
+        """Uniform integer in [lo, hi], by rejection; spans above 2^64 are refused."""
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
+        if span > 1 << 64:
+            raise ValueError(f"range [{lo}, {hi}] holds more than 2^64 integers")
         limit = (1 << 64) - ((1 << 64) % span)
         while True:
             z = self.next_u64()

@@ -381,6 +381,9 @@ class Polynomial:
         )
 
     def __hash__(self):
+        # constants compare equal to their coefficient, so they hash like it
+        if self.is_constant():
+            return hash(self.constant_coefficient())
         return hash((self.ring, self.terms))
 
     # -- calculus and rewriting -----------------------------------------

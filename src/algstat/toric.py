@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import NotBinomialIdealError
 from .exactmath import IntMatrix, hnf, integer_kernel
-from .groebner import Ideal, saturate_by_product
+from .groebner import Ideal, ideal_contains, saturate_by_product
 from .models import DiscreteRandomVariable, ModelGraph, maximal_cliques
 from .ring import GREVLEX, PolyRing, Polynomial
 
@@ -107,9 +107,10 @@ def toric_ideal(source, ring: PolyRing | None = None) -> Ideal:
     """The toric ideal of the model presented by ``source``.
 
     Computed as the lattice ideal of an integer kernel basis of A,
-    saturated at all coordinates.  Accepts anything toric_model does,
-    plus an optional ring with one variable per column (default
-    Q[p_0..p_n], grevlex).
+    saturated at all coordinates.  When the saturation adds nothing,
+    the kernel binomials themselves are the generators.  Accepts
+    anything toric_model does, plus an optional ring with one variable
+    per column (default Q[p_0..p_n], grevlex).
     """
     model = toric_model(source)
     a = model.matrix
@@ -120,8 +121,10 @@ def toric_ideal(source, ring: PolyRing | None = None) -> Ideal:
     kernel = integer_kernel(a)
     if kernel.nrows == 0:
         return Ideal(ring, ())
-    gens = [_binomial_from_kernel_row(ring, row) for row in kernel.entries]
-    sat = saturate_by_product(Ideal(ring, gens), ring.gens())
+    lattice = Ideal(ring, [_binomial_from_kernel_row(ring, r) for r in kernel.entries])
+    sat = saturate_by_product(lattice, ring.gens())
+    if all(ideal_contains(lattice, g) for g in sat.generators):
+        sat = lattice
     return Ideal(ring, [g.primitive_part() for g in sat.generators])
 
 

@@ -367,6 +367,10 @@ def test_bad_range_exits_one(capsys, hw_file):
     assert code == 1
     code, _, err = _run(capsys, "ml-degree", hw_file, "--range", "abc")
     assert code == 1
+    # wider than 2^64: once looped forever in the rejection sampler
+    code, _, err = _run(capsys, "ml-degree", hw_file, "--range", f"1:{10 ** 23}")
+    assert code == 1
+    assert "2^64" in err
 
 
 def test_bad_blocks_exit_one(capsys):

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algstat import (
     GREVLEX,
@@ -339,6 +341,33 @@ def test_saturate_by_product_empty_factor_list():
     r = _ring(("x",))
     i = _ideal(r, "x^2")
     assert ideal_equal(saturate_by_product(i, []), i)
+
+
+@st.composite
+def _binomial_ideal_and_factors(draw):
+    """A small monomial/binomial ideal plus a list of saturating factors."""
+    n = draw(st.integers(2, 4))
+    r = _ring(tuple(f"x_{k}" for k in range(n)))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    gens = []
+    for a, b, binomial in draw(
+        st.lists(st.tuples(exps, exps, st.booleans()), min_size=1, max_size=3)
+    ):
+        g = r.poly([(a, 1), (b, -1)]) if binomial else r.poly([(a, 1)])
+        if g.terms:
+            gens.append(g)
+    candidates = list(r.gens()) + [r.sum_of_gens()]
+    fs = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=3))
+    return Ideal(r, gens), fs
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_binomial_ideal_and_factors())
+def test_saturate_by_product_is_saturation_by_the_product(case):
+    i, fs = case
+    once = saturate_by_product(i, fs)
+    assert ideal_equal(once, saturate(i, prod(fs[1:], start=fs[0])))
+    assert ideal_equal(once, saturate_by_product(i, fs[::-1]))
 
 
 def test_saturation_is_idempotent_on_random_ideals():

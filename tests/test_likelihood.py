@@ -171,6 +171,29 @@ def test_lc_general_singular_saturation_noop_on_conic(hw_ideal):
     assert ideal_equal(plain.ideal(), extra.ideal())
 
 
+def _nodal_cubic():
+    # a plane cubic with its node at (1:1:1), away from the coordinate lines
+    r = PolyRing(("p_0", "p_1", "p_2"), GREVLEX)
+    p0, p1, p2 = r.gens()
+    return Ideal(r, [(p1 - p2) ** 2 * p2 - (p0 - p2) ** 2 * (p0 + p2)])
+
+
+def test_ml_degree_of_singular_model():
+    # independent count: along the parametrization (t^2 - 1 : t^3 - 2t + 1 : 1)
+    # the log-likelihood's derivative has 7 roots for generic u, and one of
+    # them, t = 1, is the excluded point (0 : 0 : 1)
+    assert ml_degree(_nodal_cubic()) == 6
+
+
+def test_lc_general_singular_saturation_keeps_prime_model():
+    # the model ideal is prime, so saturating it at the Jacobian's minors
+    # drops no component, even though the curve has a singular point
+    plain = compute_lc_general(_nodal_cubic())
+    extra = compute_lc_general(_nodal_cubic(), saturate_singular=True)
+    assert plain.ring == extra.ring
+    assert plain.generators == extra.generators
+
+
 def test_lc_general_mle_zeroes_generators(hw_ideal):
     # closed form for the scaled conic: p = ((2a+b)^2, 2(2a+b)(b+2c), (b+2c)^2)
     lc = compute_lc_general(hw_ideal)

@@ -48,6 +48,13 @@ def test_next_int_bounds_and_determinism():
     assert SplitMix64(1).next_int(7, 7) == 7
 
 
+def test_next_int_spans_up_to_two_to_the_64():
+    # a span of exactly 2^64 rejects nothing: the draw is lo + next_u64()
+    assert SplitMix64(5).next_int(1, 2 ** 64) == 1 + SplitMix64(5).next_u64()
+    with pytest.raises(ValueError, match="2\\^64"):
+        SplitMix64(5).next_int(1, 2 ** 64 + 1)
+
+
 def test_next_int_rejects_empty_range():
     with pytest.raises(ValueError):
         SplitMix64(0).next_int(3, 2)

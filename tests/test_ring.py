@@ -172,6 +172,16 @@ def test_constants():
     assert r.constant(0) == r.zero()
 
 
+def test_constants_hash_like_the_numbers_they_equal():
+    r = PolyRing(("x", "y"), GREVLEX)
+    for poly, number in [
+        (r.one(), 1), (r.zero(), 0), (r.constant(Fraction(3, 2)), Fraction(3, 2)),
+    ]:
+        assert poly == number
+        assert hash(poly) == hash(number)
+        assert len({poly, number}) == 1
+
+
 # ------------------------------------------------------------ arithmetic
 
 
