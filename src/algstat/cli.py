@@ -300,7 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute-lc", help="likelihood correspondence ideal of a model")
     _add_common(p, ("ideal", "matrix", "model"))
-    p.add_argument("--saturation", choices=("full", "hyperplane"), default="full")
+    p.add_argument(
+        "--saturation", choices=("full", "hyperplane"), default="full",
+        help="matrix input: saturate at sum p and every p_i (full) or at sum p only "
+        "(hyperplane); both give the same ideal",
+    )
     p.add_argument(
         "--saturate-singular",
         action="store_true",

@@ -18,6 +18,7 @@ class ParseError(InputError):
     """Syntax error in a polynomial, ideal, or matrix text."""
 
     def __init__(self, message, line=None, column=None):
+        self.reason = message  # without the line/column prefix
         self.line = line
         self.column = column
         if line is not None:

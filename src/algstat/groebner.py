@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm, prod
@@ -298,23 +299,16 @@ def _monomial_divides(a, b) -> bool:
 
 
 def _interreduce(term_lists, key):
-    """Minimalize then tail-reduce until stable; returns canonical primitive lists."""
+    """Minimalize, then tail-reduce once (the leading terms are final); canonical lists."""
     items = sorted((t for t in term_lists if t), key=lambda t: t[0][0])
     minimal = []
     for t in items:
         lt = t[0][1]
         if not any(_monomial_divides(m[0][1], lt) for m in minimal):
             minimal.append(t)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1 :]
-            r = _reduce_full(minimal[i], _make_reducers(others), key)
-            if r != minimal[i]:
-                minimal[i] = r
-                changed = True
-    minimal.sort(key=lambda t: t[0][0])
+    for i in range(len(minimal)):
+        others = minimal[:i] + minimal[i + 1 :]
+        minimal[i] = _reduce_full(minimal[i], _make_reducers(others), key)
     return minimal
 
 
@@ -355,16 +349,9 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         lts.append(lt_new)
         masks.append(_mask(lt_new))
         kn = terms[0][0]
-        lo = 0
-        hi = len(reducer_keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if reducer_keys[mid] < kn:
-                lo = mid + 1
-            else:
-                hi = mid
-        reducers.insert(lo, (lt_new, terms[0][2], terms, masks[new]))
-        reducer_keys.insert(lo, kn)
+        at = bisect_left(reducer_keys, kn)
+        reducers.insert(at, (lt_new, terms[0][2], terms, masks[new]))
+        reducer_keys.insert(at, kn)
 
         # chain criterion over queued pairs
         for pair in list(pending):
@@ -826,9 +813,7 @@ def parse_ideal_text(text: str) -> Ideal:
         try:
             gens.append(parse_polynomial(line, ring))
         except ParseError as exc:
-            raise ParseError(
-                f"in polynomial on line {lineno}: {exc.args[0]}", lineno, exc.column
-            ) from None
+            raise ParseError(exc.reason, lineno, exc.column) from None
     return Ideal(ring, gens)
 
 

@@ -7,8 +7,8 @@ likelihood  prod p_i^{u_i} / (sum p_i)^{sum u_i}  on the model.  Its
 ideal lives in Q[p, u] and is computed here two ways:
 
 * a fast path for toric models: start from the toric ideal plus the
-  2x2 minors of A * [p u], then saturate (fully, or at the hyperplane
-  sum p_i only);
+  2x2 minors of A * [p u], then saturate at sum p_i and, in the "full"
+  mode, at every p_i (which changes nothing: both modes give one ideal);
 * a general path for arbitrary homogeneous ideals: Lagrange
   multipliers lambda_j in an elimination block, the critical equations
   u_i = p_i * sum_j lambda_j d f_j / d p_i, saturation, then
@@ -59,7 +59,8 @@ class LikelihoodIdeal:
 
     ``mode`` records which construction produced it ("toric" or
     "lagrange"); ``saturation`` which saturation was applied ("full"
-    for (sum p)(prod p), "hyperplane" for sum p only).
+    for (sum p)(prod p), "hyperplane" for sum p only).  On toric input
+    both give the same ideal (see ``compute_lc_toric``).
     """
 
     __slots__ = ("ring", "generators", "mode", "saturation")
@@ -102,9 +103,15 @@ def _check_mode(saturation: str):
 def compute_lc_toric(model, saturation: str = "full") -> LikelihoodIdeal:
     """Likelihood correspondence of a toric model.
 
-    The correspondence ideal is the toric ideal together with the 2x2
-    minors of A * M, M the (n+1) x 2 matrix with columns p and u,
-    saturated at (sum p)(prod p) ("full") or just sum p ("hyperplane").
+    The toric ideal I_A plus the 2x2 minors of A * [p u] (none if A has
+    one row), saturated at sum p and then, in the "full" mode, at every
+    p_i; "hyperplane" stops after sum p.  Both modes give the same ideal:
+    A's row span holds the ones vector, so where sum p != 0 the minors
+    say A u = (sum u / sum p) A p, linear in u with solutions of
+    dimension n + 2 - rank A over every point of X_A.  The saturation at
+    sum p is thus prime (a vector bundle over an integral base) and
+    misses prod p (p = u = (1, ..., 1) lies on it), so the p_i
+    saturations leave it as it is.
     """
     _check_mode(saturation)
     model = toric_model(model)
@@ -116,17 +123,19 @@ def compute_lc_toric(model, saturation: str = "full") -> LikelihoodIdeal:
     p_gens = [ring.gen(i) for i in range(n + 1)]
     u_gens = [ring.gen(n + 1 + i) for i in range(n + 1)]
     ix = toric_ideal(model)
-    embedded = [map_to_ring(g, ring) for g in ix.generators]
-    m = PolyMatrix([[p_gens[i], u_gens[i]] for i in range(n + 1)], ring)
-    am = mul_int_poly(a, m)
-    j = Ideal(ring, embedded + list(minors(2, am).generators))
+    gens = [map_to_ring(g, ring) for g in ix.generators]
+    if a.nrows > 1:
+        m = PolyMatrix([[p_gens[i], u_gens[i]] for i in range(n + 1)], ring)
+        gens.extend(minors(2, mul_int_poly(a, m)).generators)
+    j = Ideal(ring, gens)
     p_sum = sum(p_gens[1:], p_gens[0])
     if saturation == "full":
         sat = saturate_by_product(j, [p_sum] + p_gens)
     else:
         sat = saturate(j, p_sum)
-    gens = tuple(g.primitive_part() for g in sat.groebner().basis)
-    return LikelihoodIdeal(ring, gens, "toric", saturation)
+    # both return saturate's reduced basis in Q[p, u] under grevlex
+    out = tuple(g.primitive_part() for g in sat.generators)
+    return LikelihoodIdeal(ring, out, "toric", saturation)
 
 
 def _saturate_by_ideal(ideal: Ideal, multiplier: Ideal) -> Ideal:
@@ -251,6 +260,8 @@ def ml_degree(model_input, trials: int = 3, seed: int = 0, u_range=(1, 1000)) ->
     lo, hi = u_range
     if not (isinstance(lo, int) and isinstance(hi, int)) or lo < 1 or hi < lo:
         raise InputError("u_range must be integers 1 <= lo <= hi")
+    if hi - lo + 1 > 1 << 64:
+        raise InputError(f"u_range [{lo}, {hi}] holds more than 2^64 integers")
     lc = compute_lc(model_input)
     nvars = len(lc.ring.variables)
     n1 = nvars // 2

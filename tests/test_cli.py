@@ -108,6 +108,15 @@ def test_compute_lc_saturation_flag(capsys):
     assert ideal_equal(parse_ideal_text(full), parse_ideal_text(lagr))
 
 
+def test_one_row_matrix(capsys):
+    code, out, _ = _run(capsys, "ml-degree", "--matrix", "1 1 1", "--inline")
+    assert code == 0
+    assert out == "1\n"
+    code, out, _ = _run(capsys, "compute-lc", "--matrix", "2 2", "--inline")
+    assert code == 0
+    assert out == "ring p_0..p_1 u_0..u_1\norder grevlex\np_0 - p_1\n"
+
+
 def test_compute_lc_saturate_singular(capsys, hw_file):
     code, out, _ = _run(capsys, "compute-lc", hw_file, "--saturate-singular")
     assert code == 0

@@ -16,6 +16,7 @@ from algstat import (
     InputError,
     IntMatrix,
     MonomialOrder,
+    ParseError,
     PolyMatrix,
     PolyRing,
     eliminate,
@@ -527,6 +528,15 @@ def test_parse_ideal_text_errors():
     with pytest.raises(InputError) as exc:
         parse_ideal_text("ring x y\nx +\n")
     assert "line" in str(exc.value)
+
+
+def test_parse_ideal_text_error_names_one_location():
+    with pytest.raises(ParseError) as exc:
+        parse_ideal_text("ring x y\n\nx - y\nx + (y))\n")
+    message = str(exc.value)
+    assert message.startswith("line 4, column ")
+    assert message.count("line") == 1
+    assert exc.value.line == 4
 
 
 def test_block_orders_have_no_text_form():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import algstat.likelihood
 from algstat import (
@@ -81,6 +82,39 @@ def test_lc_toric_hyperplane_mode(rnc2_matrix):
     assert lh.saturation == "hyperplane"
     lt = compute_lc_toric(rnc2_matrix)
     assert ideal_equal(lt.ideal(), lh.ideal())
+
+
+def test_lc_toric_one_row_matrix_matches_lagrange():
+    # a one-row matrix has no 2x2 minors: the correspondence is I_A alone
+    a = IntMatrix([[1, 1, 1]])
+    lt = compute_lc_toric(a)
+    lg = compute_lc_general(toric_ideal(a))
+    assert lt.ring == lg.ring
+    assert [print_polynomial(g) for g in lt.generators] == ["p_1 - p_2", "p_0 - p_2"]
+    assert lt.generators == lg.generators
+    assert ml_degree(a) == 1
+
+
+@st.composite
+def _toric_matrices(draw):
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(2, 4))
+    entries = st.lists(st.integers(0, 3), min_size=cols, max_size=cols)
+    return IntMatrix(draw(st.lists(entries, min_size=rows, max_size=rows)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_toric_matrices())
+@example(IntMatrix([[0, 1, 1, 2]]))
+@example(IntMatrix([[0, 0, 1, 1], [0, 1, 0, 1]]))
+def test_lc_toric_is_saturated_at_every_coordinate(a):
+    # one saturation at sum p already gives (sum p)(prod p)-saturation
+    lc = compute_lc_toric(a, saturation="hyperplane")
+    ring = lc.ring
+    p = list(ring.gens())[: ring.nvars // 2]
+    again = saturate_by_product(lc.ideal(), [sum(p[1:], p[0])] + p)
+    assert ideal_equal(lc.ideal(), again)
+    assert lc.generators == compute_lc_toric(a).generators
 
 
 def test_lc_toric_rejects_unknown_mode(p1_matrix):
@@ -290,6 +324,15 @@ def test_ml_degree_trials_and_range_validation(hw_ideal):
     with pytest.raises(InputError):
         ml_degree(hw_ideal, u_range=(1, "big"))
     assert ml_degree(hw_ideal, trials=1, u_range=(5, 5)) == 1
+
+
+def test_ml_degree_rejects_wide_range_before_any_work(monkeypatch, hw_ideal):
+    def fail(*args, **kwargs):
+        raise AssertionError("compute_lc ran before the range was checked")
+
+    monkeypatch.setattr(algstat.likelihood, "compute_lc", fail)
+    with pytest.raises(InputError, match="2\\^64"):
+        ml_degree(hw_ideal, u_range=(1, 10 ** 23))
 
 
 def test_ml_degree_degenerate_fiber():
