@@ -179,7 +179,7 @@ def _parse_pmf(text: str) -> tuple[Fraction, ...]:
 
 def _cmd_compute_lc(args) -> str:
     parsed = _as_model_input(_gather_input(args, ("ideal", "matrix", "model")))
-    lc = compute_lc(parsed, args.saturation, args.saturate_singular)
+    lc = compute_lc(parsed, saturate_singular=args.saturate_singular)
     return _format_result(lc, args.format)
 
 
@@ -300,11 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute-lc", help="likelihood correspondence ideal of a model")
     _add_common(p, ("ideal", "matrix", "model"))
-    p.add_argument(
-        "--saturation", choices=("full", "hyperplane"), default="full",
-        help="matrix input: saturate at sum p and every p_i (full) or at sum p only "
-        "(hyperplane); both give the same ideal",
-    )
     p.add_argument(
         "--saturate-singular",
         action="store_true",

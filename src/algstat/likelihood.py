@@ -6,9 +6,10 @@ closure of the set of pairs (p, u) where p is a critical point of the
 likelihood  prod p_i^{u_i} / (sum p_i)^{sum u_i}  on the model.  Its
 ideal lives in Q[p, u] and is computed here two ways:
 
-* a fast path for toric models: start from the toric ideal plus the
-  2x2 minors of A * [p u], then saturate at sum p_i and, in the "full"
-  mode, at every p_i (which changes nothing: both modes give one ideal);
+* a fast path for toric models: the toric ideal plus the 2x2 minors of
+  A * [p u], saturated once, at sum p_i (that saturation already misses
+  every coordinate hyperplane; the "full" reference mode also saturates
+  at every p_i and gives the same ideal);
 * a general path for arbitrary homogeneous ideals: Lagrange
   multipliers lambda_j in an elimination block, the critical equations
   u_i = p_i * sum_j lambda_j d f_j / d p_i, saturation, then
@@ -51,25 +52,21 @@ __all__ = [
     "ml_degree",
 ]
 
-SATURATION_MODES = ("full", "hyperplane")
-
-
 class LikelihoodIdeal:
     """The likelihood correspondence ideal in Q[p_0..p_n, u_0..u_n].
 
     ``mode`` records which construction produced it ("toric" or
-    "lagrange"); ``saturation`` which saturation was applied ("full"
-    for (sum p)(prod p), "hyperplane" for sum p only).  On toric input
-    both give the same ideal (see ``compute_lc_toric``).
+    "lagrange").  Either way the ideal is saturated at (sum p)(prod p):
+    the Lagrange path saturates at each factor, the toric path once at
+    sum p, which already gives the same ideal (see ``compute_lc_toric``).
     """
 
-    __slots__ = ("ring", "generators", "mode", "saturation")
+    __slots__ = ("ring", "generators", "mode")
 
-    def __init__(self, ring: PolyRing, generators, mode: str, saturation: str):
+    def __init__(self, ring: PolyRing, generators, mode: str):
         self.ring = ring
         self.generators = tuple(generators)
         self.mode = mode
-        self.saturation = saturation
 
     def ideal(self) -> Ideal:
         return Ideal(self.ring, self.generators)
@@ -81,10 +78,7 @@ class LikelihoodIdeal:
         return len(self.generators)
 
     def __repr__(self):
-        return (
-            f"LikelihoodIdeal<{len(self.generators)} generators, "
-            f"mode={self.mode}, saturation={self.saturation}>"
-        )
+        return f"LikelihoodIdeal<{len(self.generators)} generators, mode={self.mode}>"
 
 
 def lc_ring(n: int) -> PolyRing:
@@ -95,25 +89,22 @@ def lc_ring(n: int) -> PolyRing:
     return PolyRing(names, GREVLEX)
 
 
-def _check_mode(saturation: str):
-    if saturation not in SATURATION_MODES:
-        raise InputError(f"saturation mode must be one of {SATURATION_MODES}")
-
-
-def compute_lc_toric(model, saturation: str = "full") -> LikelihoodIdeal:
+def compute_lc_toric(model, saturation: str = "hyperplane") -> LikelihoodIdeal:
     """Likelihood correspondence of a toric model.
 
     The toric ideal I_A plus the 2x2 minors of A * [p u] (none if A has
-    one row), saturated at sum p and then, in the "full" mode, at every
-    p_i; "hyperplane" stops after sum p.  Both modes give the same ideal:
-    A's row span holds the ones vector, so where sum p != 0 the minors
-    say A u = (sum u / sum p) A p, linear in u with solutions of
-    dimension n + 2 - rank A over every point of X_A.  The saturation at
-    sum p is thus prime (a vector bundle over an integral base) and
-    misses prod p (p = u = (1, ..., 1) lies on it), so the p_i
-    saturations leave it as it is.
+    one row), saturated once, at sum p.  That is already the saturation
+    at (sum p)(prod p): A's row span holds the ones vector, so where
+    sum p != 0 the minors say A u = (sum u / sum p) A p, linear in u with
+    solutions of dimension n + 2 - rank A over every point of X_A.  The
+    saturation at sum p is thus prime (a vector bundle over an integral
+    base) and misses prod p (p = u = (1, ..., 1) lies on it), so the p_i
+    saturations would leave it as it is.  ``saturation="full"`` is the
+    reference that runs them anyway, at sum p and then at every p_i; it
+    gives the same ideal.
     """
-    _check_mode(saturation)
+    if saturation not in ("full", "hyperplane"):
+        raise InputError("saturation mode must be 'full' or 'hyperplane'")
     model = toric_model(model)
     a = model.matrix
     n = a.ncols - 1
@@ -135,7 +126,12 @@ def compute_lc_toric(model, saturation: str = "full") -> LikelihoodIdeal:
         sat = saturate(j, p_sum)
     # both return saturate's reduced basis in Q[p, u] under grevlex
     out = tuple(g.primitive_part() for g in sat.generators)
-    return LikelihoodIdeal(ring, out, "toric", saturation)
+    return LikelihoodIdeal(ring, out, "toric")
+
+
+def _is_unit(basis) -> bool:
+    """Whether a reduced Groebner basis spans the unit ideal."""
+    return any(g.is_constant() for g in basis)
 
 
 def _saturate_by_ideal(ideal: Ideal, multiplier: Ideal) -> Ideal:
@@ -162,6 +158,8 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
     before the graph relations are attached.  That drops only the
     components of the model ideal lying inside the Jacobian's degeneracy
     locus; a prime ideal, however singular its variety, is unchanged.
+    If that drops every component, as on a non-reduced ideal such as a
+    double line, it raises ValueError: pass the radical instead.
     """
     p_ring = ideal.ring
     p_names = p_ring.variables
@@ -172,7 +170,7 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
         if not g.is_homogeneous():
             raise ValueError(f"generator {g} is not homogeneous")
     gb = ideal.groebner()
-    if any(b.is_constant() for b in gb.basis):
+    if _is_unit(gb.basis):
         raise ValueError("the unit ideal has no likelihood correspondence")
 
     r = len(ideal.generators)
@@ -194,7 +192,9 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
     # small ring and the graph relations are added afterwards.
     small_sum = p_ring.sum_of_gens()
     sat_p = saturate_by_product(ideal, [small_sum] + list(p_ring.gens()))
-    if saturate_singular and ideal.generators:
+    # a model outside the torus leaves the unit ideal here already: its
+    # correspondence is (1), singular saturation or not
+    if saturate_singular and ideal.generators and not _is_unit(sat_p.generators):
         codim = p_ring.nvars - krull_dimension(gb)
         jac = PolyMatrix(
             [
@@ -207,6 +207,10 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
         if not sing.generators:
             raise ValueError("the Jacobian has no nonzero minors of codimension size")
         sat_p = _saturate_by_ideal(sat_p, sing)
+        if _is_unit(sat_p.generators):
+            raise ValueError(
+                "every component lies in the Jacobian's degeneracy locus; pass the radical"
+            )
 
     p_sum = sum(p[1:], p[0])
     fs = [p_sum] + [map_to_ring(g, work) for g in ideal.generators]
@@ -222,26 +226,23 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
     # eliminate returns the reduced basis in Q[p, u] under grevlex
     elim = eliminate(Ideal(work, gens), r + 1)
     out = tuple(g.primitive_part() for g in elim.generators)
-    return LikelihoodIdeal(elim.ring, out, "lagrange", "full")
+    return LikelihoodIdeal(elim.ring, out, "lagrange")
 
 
-def compute_lc(model_input, saturation: str = "full", saturate_singular: bool = False) -> LikelihoodIdeal:
+def compute_lc(model_input, *, saturate_singular: bool = False) -> LikelihoodIdeal:
     """Dispatch on the input kind.
 
-    Toric models and graphs go through the toric construction; raw
-    ideals through the Lagrange construction (whose saturation is
-    always full, so the flag must not ask for less).
+    Toric models and graphs go through the toric construction, with its
+    one saturation at sum p; raw ideals through the Lagrange
+    construction, which alone accepts ``saturate_singular``.
     """
-    _check_mode(saturation)
     if isinstance(model_input, LikelihoodIdeal):
         return model_input
     if isinstance(model_input, (ToricModel, IntMatrix, ModelGraph)):
         if saturate_singular:
             raise InputError("singular-locus saturation only applies to ideal input")
-        return compute_lc_toric(model_input, saturation)
+        return compute_lc_toric(model_input)
     if isinstance(model_input, Ideal):
-        if saturation != "full":
-            raise InputError("the general construction only supports full saturation")
         return compute_lc_general(model_input, saturate_singular)
     raise TypeError(f"cannot compute a likelihood correspondence from {type(model_input).__name__}")
 

@@ -93,19 +93,13 @@ def test_compute_lc_inline_ideal(capsys):
 
 def test_compute_lc_saturation_flag(capsys):
     src = "ring p_0..p_2;p_1^2 - p_0*p_2"
-    code, full, _ = _run(
+    code, toric, _ = _run(
         capsys, "compute-lc", "--matrix", "1 1 1;0 1 2", "--inline"
     )
     assert code == 0
-    code, hyper, _ = _run(
-        capsys, "compute-lc", "--matrix", "1 1 1;0 1 2", "--inline",
-        "--saturation", "hyperplane",
-    )
-    assert code == 0
-    assert ideal_equal(parse_ideal_text(full), parse_ideal_text(hyper))
     code, lagr, _ = _run(capsys, "compute-lc", "--ideal", src, "--inline")
     assert code == 0
-    assert ideal_equal(parse_ideal_text(full), parse_ideal_text(lagr))
+    assert ideal_equal(parse_ideal_text(toric), parse_ideal_text(lagr))
 
 
 def test_one_row_matrix(capsys):
@@ -121,6 +115,22 @@ def test_compute_lc_saturate_singular(capsys, hw_file):
     code, out, _ = _run(capsys, "compute-lc", hw_file, "--saturate-singular")
     assert code == 0
     assert out == HW_LC_TEXT
+
+
+def test_compute_lc_saturate_singular_rejects_double_line(capsys):
+    src = "ring p_0..p_2;p_0^2 - 2*p_0*p_1 + p_1^2"
+    code, out, err = _run(
+        capsys, "compute-lc", "--ideal", src, "--inline", "--saturate-singular"
+    )
+    assert code == 1
+    assert out == ""
+    assert "pass the radical" in err
+
+
+def test_compute_lc_saturation_flag_is_gone(capsys, hw_file):
+    code, _, err = _run(capsys, "compute-lc", hw_file, "--saturation", "full")
+    assert code == 1
+    assert "--saturation" in err
 
 
 def test_ml_degree(capsys, hw_file):
@@ -310,7 +320,7 @@ def test_help_exits_zero(capsys):
     assert "compute-lc" in out
     code, out, _ = _run(capsys, "compute-lc", "--help")
     assert code == 0
-    assert "--saturation" in out
+    assert "--saturate-singular" in out
 
 
 def test_missing_file_exits_one(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from algstat import (
     GREVLEX,
@@ -198,6 +198,45 @@ def test_groebner_of_zero_and_unit_ideals():
     assert _ideal(r).groebner().basis == ()
     gb = _ideal(r, "x", "x + 1").groebner()
     assert [print_polynomial(g) for g in gb.basis] == ["1"]
+
+
+@st.composite
+def _ideal_and_rewrite(draw):
+    """A small ideal, plus its generators permuted, rescaled and combined."""
+    n = draw(st.integers(2, 3))
+    r = _ring(tuple(f"x_{k}" for k in range(n)), draw(st.sampled_from((LEX, GREVLEX))))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * n), st.integers(-5, 5))
+    gens = [
+        g for g in (r.poly(ts) for ts in draw(
+            st.lists(st.lists(term, min_size=1, max_size=3), min_size=1, max_size=3)
+        ))
+        if g.terms
+    ]
+    scale = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
+    rewritten = [g * draw(scale) for g in draw(st.permutations(gens))]
+    # a redundant generator as well, so that the two runs differ beyond
+    # the normalization and sorting of the input
+    extra = sum((g * draw(st.sampled_from(r.gens())) * draw(scale) for g in gens), r.zero())
+    return Ideal(r, gens), Ideal(r, rewritten + [extra])
+
+
+def _rewrite_example():
+    # the redundant generator leaves a tail that only interreduction removes
+    r = _ring(("x_0", "x_1", "x_2"))
+    a, b, c = (
+        parse_polynomial(t, r)
+        for t in ("x_0*x_1^2*x_2", "x_0^2*x_1^2", "5*x_0*x_1*x_2 + 3*x_1*x_2 + 2*x_2")
+    )
+    x0, _, x2 = r.gens()
+    return Ideal(r, [a, b, c]), Ideal(r, [c, b * 3, a, x0 * c + x2 * b])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_ideal_and_rewrite())
+@example(_rewrite_example())
+def test_groebner_is_canonical_under_permutation_and_scaling(case):
+    i, j = case
+    assert i.groebner().basis == j.groebner().basis
 
 
 def test_groebner_is_cached():

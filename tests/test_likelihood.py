@@ -21,6 +21,7 @@ from algstat import (
     compute_lc,
     compute_lc_general,
     compute_lc_toric,
+    format_ideal,
     ideal_contains,
     ideal_equal,
     lc_ring,
@@ -68,7 +69,6 @@ def test_lc_toric_segre_line(p1_matrix):
     lc = compute_lc_toric(p1_matrix)
     assert [print_polynomial(g) for g in lc.generators] == ["p_1*u_0 - p_0*u_1"]
     assert lc.mode == "toric"
-    assert lc.saturation == "full"
 
 
 def test_lc_toric_conic_agrees_with_general(rnc2_matrix):
@@ -79,8 +79,7 @@ def test_lc_toric_conic_agrees_with_general(rnc2_matrix):
 
 def test_lc_toric_hyperplane_mode(rnc2_matrix):
     lh = compute_lc_toric(rnc2_matrix, saturation="hyperplane")
-    assert lh.saturation == "hyperplane"
-    lt = compute_lc_toric(rnc2_matrix)
+    lt = compute_lc_toric(rnc2_matrix, saturation="full")
     assert ideal_equal(lt.ideal(), lh.ideal())
 
 
@@ -114,7 +113,7 @@ def test_lc_toric_is_saturated_at_every_coordinate(a):
     p = list(ring.gens())[: ring.nvars // 2]
     again = saturate_by_product(lc.ideal(), [sum(p[1:], p[0])] + p)
     assert ideal_equal(lc.ideal(), again)
-    assert lc.generators == compute_lc_toric(a).generators
+    assert lc.generators == compute_lc_toric(a, saturation="full").generators
 
 
 def test_lc_toric_rejects_unknown_mode(p1_matrix):
@@ -228,6 +227,37 @@ def test_lc_general_singular_saturation_keeps_prime_model():
     assert plain.generators == extra.generators
 
 
+def test_lc_general_singular_saturation_rejects_double_line():
+    # every component of a non-reduced ideal lies where its Jacobian drops rank
+    r = PolyRing(("p_0", "p_1", "p_2"), GREVLEX)
+    double_line = Ideal(r, [parse_polynomial("p_0^2 - 2*p_0*p_1 + p_1^2", r)])
+    with pytest.raises(ValueError, match="pass the radical"):
+        compute_lc_general(double_line, saturate_singular=True)
+
+
+def test_lc_general_model_outside_the_torus():
+    # the line p_0 = 0 misses the torus: no critical points, with or without
+    # singular saturation
+    r = PolyRing(("p_0", "p_1", "p_2"), GREVLEX)
+    model = Ideal(r, [r.gen(0)])
+    for singular in (False, True):
+        lc = compute_lc_general(model, singular)
+        assert [print_polynomial(g) for g in lc.generators] == ["1"]
+    assert ml_degree(model) == 0
+
+
+@pytest.mark.parametrize("texts", [
+    ("p_0 - p_1", "p_2 - p_3"),
+    ("p_0*p_3 - p_1*p_2", "p_0 - p_1"),
+])
+def test_lc_general_ignores_generator_order(texts):
+    r = PolyRing(tuple(f"p_{i}" for i in range(4)), GREVLEX)
+    gens = [parse_polynomial(t, r) for t in texts]
+    forward = compute_lc_general(Ideal(r, gens))
+    backward = compute_lc_general(Ideal(r, gens[::-1]))
+    assert format_ideal(forward.ideal()) == format_ideal(backward.ideal())
+
+
 def test_lc_general_mle_zeroes_generators(hw_ideal):
     # closed form for the scaled conic: p = ((2a+b)^2, 2(2a+b)(b+2c), (b+2c)^2)
     lc = compute_lc_general(hw_ideal)
@@ -275,11 +305,18 @@ def test_compute_lc_dispatch_graph():
 
 def test_compute_lc_rejects_bad_combinations(p1_matrix, hw_ideal):
     with pytest.raises(InputError):
-        compute_lc(hw_ideal, saturation="hyperplane")
-    with pytest.raises(InputError):
         compute_lc(p1_matrix, saturate_singular=True)
     with pytest.raises(TypeError):
         compute_lc("not a model")
+
+
+def test_compute_lc_takes_saturate_singular_by_keyword(hw_ideal):
+    # a stale positional saturation mode must not turn on singular saturation
+    with pytest.raises(TypeError):
+        compute_lc(hw_ideal, True)
+    with pytest.raises(TypeError):
+        compute_lc(hw_ideal, "full")
+    assert not hasattr(compute_lc(hw_ideal), "saturation")
 
 
 def test_likelihood_ideal_container(hw_ideal):
@@ -336,7 +373,7 @@ def test_ml_degree_rejects_wide_range_before_any_work(monkeypatch, hw_ideal):
 
 
 def test_ml_degree_degenerate_fiber():
-    empty = LikelihoodIdeal(lc_ring(1), (), "toric", "full")
+    empty = LikelihoodIdeal(lc_ring(1), (), "toric")
     with pytest.raises(DegenerateFiberError):
         ml_degree(empty)
 
