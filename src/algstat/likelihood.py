@@ -15,9 +15,13 @@ ideal lives in Q[p, u] and is computed here two ways:
   u_i = p_i * sum_j lambda_j d f_j / d p_i, saturation, then
   elimination of the multipliers.
 
-The ML degree is the number of critical points for generic data; it is
-read off as the cardinality of the fiber over random integer data,
-taken as the modal value across seeded trials.
+The ML degree is the number of critical points for generic data.
+``ml_degree`` puts seeded random integer data u* into the same
+relations before any Groebner work, so it never builds a
+correspondence: it counts the fiber over u* in Q[p] on the chart
+sum p = 1, off the coordinate hyperplanes, and takes the modal count
+across trials.  Only a precomputed ``LikelihoodIdeal`` has its own
+generators substituted.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .groebner import (
     saturate_by_product,
 )
 from .models import ModelGraph, derive_seed, SplitMix64
-from .ring import GREVLEX, MonomialOrder, PolyRing, map_to_ring
+from .ring import GREVLEX, MonomialOrder, Polynomial, PolyRing, map_to_ring
 from .toric import ToricModel, toric_ideal, toric_model
 
 __all__ = [
@@ -89,6 +93,22 @@ def lc_ring(n: int) -> PolyRing:
     return PolyRing(names, GREVLEX)
 
 
+def _toric_relations(a: IntMatrix, ix: Ideal, ring: PolyRing, u) -> list:
+    """I_A plus the 2x2 minors of A * [p u] (none if A has one row).
+
+    ``ring`` starts with p_0..p_n.  ``u`` is the data column: ring
+    variables for the correspondence, or integers for the fiber over
+    one data vector, where the minors are linear in p.
+    """
+    p = ring.gens()[: a.ncols]
+    u = [x if isinstance(x, Polynomial) else ring.constant(x) for x in u]
+    gens = [map_to_ring(g, ring) for g in ix.generators]
+    if a.nrows > 1:
+        m = PolyMatrix([[p[i], u[i]] for i in range(a.ncols)], ring)
+        gens.extend(minors(2, mul_int_poly(a, m)).generators)
+    return gens
+
+
 def compute_lc_toric(model, saturation: str = "hyperplane") -> LikelihoodIdeal:
     """Likelihood correspondence of a toric model.
 
@@ -111,14 +131,9 @@ def compute_lc_toric(model, saturation: str = "hyperplane") -> LikelihoodIdeal:
     if n < 1:
         raise ValueError("need at least two states")
     ring = lc_ring(n)
-    p_gens = [ring.gen(i) for i in range(n + 1)]
-    u_gens = [ring.gen(n + 1 + i) for i in range(n + 1)]
-    ix = toric_ideal(model)
-    gens = [map_to_ring(g, ring) for g in ix.generators]
-    if a.nrows > 1:
-        m = PolyMatrix([[p_gens[i], u_gens[i]] for i in range(n + 1)], ring)
-        gens.extend(minors(2, mul_int_poly(a, m)).generators)
-    j = Ideal(ring, gens)
+    gens = ring.gens()
+    j = Ideal(ring, _toric_relations(a, toric_ideal(model), ring, gens[n + 1 :]))
+    p_gens = list(gens[: n + 1])
     p_sum = sum(p_gens[1:], p_gens[0])
     if saturation == "full":
         sat = saturate_by_product(j, [p_sum] + p_gens)
@@ -146,20 +161,13 @@ def _saturate_by_ideal(ideal: Ideal, multiplier: Ideal) -> Ideal:
     return out
 
 
-def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> LikelihoodIdeal:
-    """Likelihood correspondence of any homogeneous proper ideal in Q[p].
+def _lagrange_setup(ideal: Ideal, with_data: bool):
+    """Check a model ideal and build what every Lagrange system over it shares.
 
-    Lagrange construction: with f_0 = sum p_i and f_1..f_r the
-    generators, impose u_i = p_i * sum_j lambda_j df_j/dp_i, saturate
-    at (prod p)(sum p), then eliminate the lambda block.
-
-    ``saturate_singular`` additionally saturates the model ideal in Q[p]
-    at the codimension-sized minors of the Jacobian of its generators,
-    before the graph relations are attached.  That drops only the
-    components of the model ideal lying inside the Jacobian's degeneracy
-    locus; a prime ideal, however singular its variety, is unchanged.
-    If that drops every component, as on a non-reduced ideal such as a
-    double line, it raises ValueError: pass the radical instead.
+    Returns the ideal's Groebner basis; the work ring
+    Q[lam_0..lam_r, p] (then u_0..u_n, if ``with_data``) under
+    block(r + 1); and sat_p, the ideal saturated at (sum p)(prod p) in
+    Q[p].
     """
     p_ring = ideal.ring
     p_names = p_ring.variables
@@ -179,10 +187,8 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
     for name in p_names:
         if name in lam_names or name in u_names or name == "t":
             raise InputError(f"model variable name {name!r} collides with a reserved name")
-    work = PolyRing(lam_names + p_names + u_names, MonomialOrder.block(r + 1))
-    lam = [work.gen(j) for j in range(r + 1)]
-    p = [work.gen(r + 1 + i) for i in range(n + 1)]
-    u = [work.gen(r + 1 + n + 1 + i) for i in range(n + 1)]
+    names = lam_names + p_names + (u_names if with_data else ())
+    work = PolyRing(names, MonomialOrder.block(r + 1))
 
     # The relations u_i - p_i * grad present the work ideal as the graph
     # of a substitution u = h(lam, p) over the p-part, so saturating at
@@ -190,8 +196,51 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
     # J : g^inf = (I : g^inf) extended + graph relations.  All requested
     # multipliers live in the p-variables, so the saturations run in the
     # small ring and the graph relations are added afterwards.
-    small_sum = p_ring.sum_of_gens()
-    sat_p = saturate_by_product(ideal, [small_sum] + list(p_ring.gens()))
+    sat_p = saturate_by_product(ideal, [p_ring.sum_of_gens()] + list(p_ring.gens()))
+    return gb, work, sat_p
+
+
+def _lagrange_relations(ideal: Ideal, sat_p: Ideal, work: PolyRing, u) -> list:
+    """sat_p plus u_i - p_i * sum_j lam_j df_j/dp_i, with f_0 = sum p.
+
+    ``work`` is a ring from ``_lagrange_setup``.  ``u`` is the data:
+    its u variables for the correspondence, or integers for the fiber
+    over one data vector.
+    """
+    r = len(ideal.generators)
+    gens = work.gens()
+    lam = gens[: r + 1]
+    p = gens[r + 1 : r + 1 + ideal.ring.nvars]
+    p_sum = sum(p[1:], p[0])
+    fs = [p_sum] + [map_to_ring(g, work) for g in ideal.generators]
+    out = [map_to_ring(g, work) for g in sat_p.generators]
+    for i, (p_i, u_i) in enumerate(zip(p, u)):
+        grad = work.zero()
+        for j, f in enumerate(fs):
+            df = f.differentiate(r + 1 + i)
+            if df.terms:
+                grad = grad + lam[j] * df
+        out.append(u_i - p_i * grad)
+    return out
+
+
+def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> LikelihoodIdeal:
+    """Likelihood correspondence of any homogeneous proper ideal in Q[p].
+
+    Lagrange construction: with f_0 = sum p_i and f_1..f_r the
+    generators, impose u_i = p_i * sum_j lambda_j df_j/dp_i, saturate
+    at (prod p)(sum p), then eliminate the lambda block.
+
+    ``saturate_singular`` additionally saturates the model ideal in Q[p]
+    at the codimension-sized minors of the Jacobian of its generators,
+    before the graph relations are attached.  That drops only the
+    components of the model ideal lying inside the Jacobian's degeneracy
+    locus; a prime ideal, however singular its variety, is unchanged.
+    If that drops every component, as on a non-reduced ideal such as a
+    double line, it raises ValueError: pass the radical instead.
+    """
+    gb, work, sat_p = _lagrange_setup(ideal, with_data=True)
+    p_ring = ideal.ring
     # a model outside the torus leaves the unit ideal here already: its
     # correspondence is (1), singular saturation or not
     if saturate_singular and ideal.generators and not _is_unit(sat_p.generators):
@@ -212,19 +261,10 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
                 "every component lies in the Jacobian's degeneracy locus; pass the radical"
             )
 
-    p_sum = sum(p[1:], p[0])
-    fs = [p_sum] + [map_to_ring(g, work) for g in ideal.generators]
-    gens = [map_to_ring(g, work) for g in sat_p.generators]
-    for i in range(n + 1):
-        grad = work.zero()
-        for j, f in enumerate(fs):
-            df = f.differentiate(r + 1 + i)
-            if df.terms:
-                grad = grad + lam[j] * df
-        gens.append(u[i] - p[i] * grad)
-
+    k = len(ideal.generators) + 1
+    u = work.gens()[k + p_ring.nvars :]
     # eliminate returns the reduced basis in Q[p, u] under grevlex
-    elim = eliminate(Ideal(work, gens), r + 1)
+    elim = eliminate(Ideal(work, _lagrange_relations(ideal, sat_p, work, u)), k)
     out = tuple(g.primitive_part() for g in elim.generators)
     return LikelihoodIdeal(elim.ring, out, "lagrange")
 
@@ -247,13 +287,87 @@ def compute_lc(model_input, *, saturate_singular: bool = False) -> LikelihoodIde
     raise TypeError(f"cannot compute a likelihood correspondence from {type(model_input).__name__}")
 
 
-def ml_degree(model_input, trials: int = 3, seed: int = 0, u_range=(1, 1000)) -> int:
-    """Maximum-likelihood degree: generic fiber cardinality of the correspondence.
+def _fibers(model_input):
+    """The number of states and a map from data to the fiber's ideal in Q[p].
 
-    Each trial substitutes seeded random integer data for u, adds the
-    chart sum p = 1, saturates at the coordinates, and counts standard
-    monomials of the (necessarily zero-dimensional) fiber ideal.  The
-    modal count across trials is returned; all-distinct counts raise
+    Whatever every trial shares (the toric ideal, the small-ring
+    saturation) is computed here, once.
+    """
+    if isinstance(model_input, LikelihoodIdeal):
+        lc = model_input
+        n1 = lc.ring.nvars // 2
+        p_ring = PolyRing(lc.ring.variables[:n1], GREVLEX)
+        u_names = lc.ring.variables[n1:]
+
+        def fiber(data):
+            bindings = dict(zip(u_names, data))
+            return Ideal(p_ring, [g.substitute(bindings) for g in lc.generators])
+
+    elif isinstance(model_input, (ToricModel, IntMatrix, ModelGraph)):
+        model = toric_model(model_input)
+        a = model.matrix
+        n1 = a.ncols
+        if n1 < 2:
+            raise ValueError("need at least two states")
+        ix = toric_ideal(model)
+
+        def fiber(data):
+            return Ideal(ix.ring, _toric_relations(a, ix, ix.ring, data))
+
+    elif isinstance(model_input, Ideal):
+        _, work, sat_p = _lagrange_setup(model_input, with_data=False)
+        n1 = model_input.ring.nvars
+        k = len(model_input.generators) + 1
+        p = work.gens()[k:]
+        chart = sum(p[1:], p[0]) - 1
+
+        def fiber(data):
+            # the chart goes in before the multipliers are eliminated, so
+            # the fiber in p is finite; lam need not be unique over it
+            gens = _lagrange_relations(model_input, sat_p, work, data) + [chart]
+            return eliminate(Ideal(work, gens), k)
+
+    else:
+        raise TypeError(f"cannot compute an ML degree from {type(model_input).__name__}")
+    return n1, fiber
+
+
+def _fiber_count(fiber: Ideal, data) -> int:
+    """Length of a fiber on the chart sum p = 1, off the coordinate hyperplanes."""
+    ring = fiber.ring
+    chart = ring.sum_of_gens() - 1
+    sat = saturate_by_product(Ideal(ring, fiber.generators + (chart,)), ring.gens())
+    gb = sat.groebner()
+    if not is_zero_dimensional(gb):
+        raise DegenerateFiberError(f"fiber over data {tuple(data)} is not zero-dimensional")
+    return quotient_dimension(gb)
+
+
+def ml_degree(model_input, trials: int = 3, seed: int = 0, u_range=(1, 1000)) -> int:
+    """Maximum-likelihood degree: the number of critical points for generic data.
+
+    Each trial draws seeded random integer data u* in u_range, puts it
+    into the construction before any Groebner work, adds the chart
+    sum p = 1, saturates at the coordinates, and counts standard
+    monomials of the (necessarily zero-dimensional) fiber ideal in Q[p].
+    No correspondence is built, and each route is exact:
+
+    * toric input: the fiber of I_A plus the 2x2 minors of A * [p | u*],
+      which are linear in p.  The correspondence is J : (sum p)^inf for
+      J = I_A + the minors of A * [p | u], and both generate one ideal
+      once (sum p)(prod p) is inverted; substituting u* is a ring map,
+      and on the chart off the coordinate hyperplanes that product is a
+      unit, so the two fibers agree for every u*.
+    * ideal input: the Lagrange relations u*_i = p_i * grad_i over the
+      model saturated at (sum p)(prod p), with the multipliers
+      eliminated.  With u*_i >= 1 every p_i divides a nonzero constant,
+      so it is a unit, and the chart removes sum p = 0: the ideal cuts
+      out the critical points for u*, as the correspondence's fiber
+      does for generic u*.
+    * a precomputed ``LikelihoodIdeal``: u* is substituted into its
+      generators.
+
+    The modal count across trials is returned; all-distinct counts raise
     UnstableCountError, a non-finite fiber DegenerateFiberError.
     """
     if trials < 1:
@@ -263,25 +377,12 @@ def ml_degree(model_input, trials: int = 3, seed: int = 0, u_range=(1, 1000)) ->
         raise InputError("u_range must be integers 1 <= lo <= hi")
     if hi - lo + 1 > 1 << 64:
         raise InputError(f"u_range [{lo}, {hi}] holds more than 2^64 integers")
-    lc = compute_lc(model_input)
-    nvars = len(lc.ring.variables)
-    n1 = nvars // 2
-    u_names = lc.ring.variables[n1:]
+    n1, fiber = _fibers(model_input)
     counts = []
     for t in range(trials):
         rng = SplitMix64(derive_seed(seed, t))
-        data = {name: rng.next_int(lo, hi) for name in u_names}
-        fiber_gens = [g.substitute(data) for g in lc.generators]
-        p_ring = PolyRing(lc.ring.variables[:n1], GREVLEX)
-        chart = p_ring.sum_of_gens() - 1
-        fiber = Ideal(p_ring, fiber_gens + [chart])
-        sat = saturate_by_product(fiber, p_ring.gens())
-        gb = sat.groebner()
-        if not is_zero_dimensional(gb):
-            raise DegenerateFiberError(
-                f"fiber over data {tuple(data.values())} is not zero-dimensional"
-            )
-        counts.append(quotient_dimension(gb))
+        data = [rng.next_int(lo, hi) for _ in range(n1)]
+        counts.append(_fiber_count(fiber(data), data))
     if trials > 1 and len(set(counts)) == trials:
         raise UnstableCountError(f"unstable generic count: trials gave {counts}")
     freq = Counter(counts)

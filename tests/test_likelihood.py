@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import algstat.groebner
 import algstat.likelihood
 from algstat import (
     GREVLEX,
@@ -363,13 +364,19 @@ def test_ml_degree_trials_and_range_validation(hw_ideal):
     assert ml_degree(hw_ideal, trials=1, u_range=(5, 5)) == 1
 
 
-def test_ml_degree_rejects_wide_range_before_any_work(monkeypatch, hw_ideal):
+def test_ml_degree_rejects_wide_range_before_any_work(monkeypatch, hw_ideal, rnc3_matrix):
     def fail(*args, **kwargs):
-        raise AssertionError("compute_lc ran before the range was checked")
+        raise AssertionError("Groebner work ran before the range was checked")
 
+    # the first step of each route (toric ideal, small-ring saturation, any
+    # Groebner basis) and the correspondence itself all fail if reached
     monkeypatch.setattr(algstat.likelihood, "compute_lc", fail)
-    with pytest.raises(InputError, match="2\\^64"):
-        ml_degree(hw_ideal, u_range=(1, 10 ** 23))
+    monkeypatch.setattr(algstat.likelihood, "toric_ideal", fail)
+    monkeypatch.setattr(algstat.likelihood, "saturate_by_product", fail)
+    monkeypatch.setattr(algstat.groebner, "buchberger", fail)
+    for model in (hw_ideal, rnc3_matrix):
+        with pytest.raises(InputError, match="2\\^64"):
+            ml_degree(model, u_range=(1, 10 ** 23))
 
 
 def test_ml_degree_degenerate_fiber():

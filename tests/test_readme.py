@@ -1,4 +1,4 @@
-"""The README's command-line contract: its transcripts and the flags it names."""
+"""The README's contract: its library-tour code, its transcripts and the flags it names."""
 
 import argparse
 import re
@@ -29,6 +29,18 @@ def _transcripts():
     return out
 
 
+def _python_blocks():
+    """The source of every ```python block."""
+    return re.findall(r"^```python\n(.*?)^```$", README, flags=re.S | re.M)
+
+
+def _claim(source):
+    """What a block ending in `print(...)  # value` says it prints last, or None."""
+    last = source.rstrip().splitlines()[-1]
+    claim = re.fullmatch(r"print\(.*\)\s+#\s*(\S+)", last)
+    return claim and claim.group(1)
+
+
 def _cli_flags():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -37,6 +49,7 @@ def _cli_flags():
 
 
 TRANSCRIPTS = _transcripts()
+PYTHON_BLOCKS = _python_blocks()
 
 
 def test_readme_has_transcripts():
@@ -51,6 +64,24 @@ def test_readme_transcript(capsys, argv, expected):
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines() == expected
+
+
+def test_readme_has_python_blocks():
+    assert len(PYTHON_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("source", PYTHON_BLOCKS, ids=[f"block{k}" for k in range(len(PYTHON_BLOCKS))])
+def test_readme_python_block(capsys, source):
+    exec(compile(source, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert out
+    if _claim(source) is not None:
+        assert out.splitlines()[-1] == _claim(source)
+
+
+def test_readme_tour_claims_ml_degree():
+    tour = next(b for b in PYTHON_BLOCKS if "ml_degree(a)" in b)
+    assert _claim(tour) == "3"
 
 
 def test_readme_flags_exist():
