@@ -492,8 +492,12 @@ def _ideal_leq(a: Ideal, b: Ideal) -> bool:
 def eliminate(ideal: Ideal, k: int) -> Ideal:
     """Intersect with the subring omitting the first k variables.
 
-    Computed with a block(k) order; the result lives in the restricted
-    ring and its generators form a reduced basis there.
+    Computed with a block(k) order, whose tail is grevlex.  The result
+    lives in the restricted ring, whose order is the input ring's order
+    on the remaining variables.  Its generators always generate the
+    elimination ideal, but they form that ring's reduced basis only when
+    its order is grevlex, as when the input ring is grevlex or
+    block(k).  Under lex, say, they need not be monic or reduced.
     """
     ring = ideal.ring
     n = ring.nvars

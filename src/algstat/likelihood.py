@@ -19,9 +19,11 @@ The ML degree is the number of critical points for generic data.
 ``ml_degree`` puts seeded random integer data u* into the same
 relations before any Groebner work, so it never builds a
 correspondence: it counts the fiber over u* in Q[p] on the chart
-sum p = 1, off the coordinate hyperplanes, and takes the modal count
-across trials.  Only a precomputed ``LikelihoodIdeal`` has its own
-generators substituted.
+sum p = 1 and takes the modal count across trials.  The toric and the
+Lagrange fibers need no saturation, as u* >= 1 already keeps every
+point off the coordinate hyperplanes (see ``ml_degree``); only a
+precomputed ``LikelihoodIdeal`` has its own generators substituted and
+the result saturated at the coordinates.
 """
 
 from __future__ import annotations
@@ -164,10 +166,9 @@ def _saturate_by_ideal(ideal: Ideal, multiplier: Ideal) -> Ideal:
 def _lagrange_setup(ideal: Ideal, with_data: bool):
     """Check a model ideal and build what every Lagrange system over it shares.
 
-    Returns the ideal's Groebner basis; the work ring
+    Returns the ideal's Groebner basis and the work ring
     Q[lam_0..lam_r, p] (then u_0..u_n, if ``with_data``) under
-    block(r + 1); and sat_p, the ideal saturated at (sum p)(prod p) in
-    Q[p].
+    block(r + 1).
     """
     p_ring = ideal.ring
     p_names = p_ring.variables
@@ -188,24 +189,17 @@ def _lagrange_setup(ideal: Ideal, with_data: bool):
         if name in lam_names or name in u_names or name == "t":
             raise InputError(f"model variable name {name!r} collides with a reserved name")
     names = lam_names + p_names + (u_names if with_data else ())
-    work = PolyRing(names, MonomialOrder.block(r + 1))
-
-    # The relations u_i - p_i * grad present the work ideal as the graph
-    # of a substitution u = h(lam, p) over the p-part, so saturating at
-    # any polynomial in p alone commutes with attaching the graph:
-    # J : g^inf = (I : g^inf) extended + graph relations.  All requested
-    # multipliers live in the p-variables, so the saturations run in the
-    # small ring and the graph relations are added afterwards.
-    sat_p = saturate_by_product(ideal, [p_ring.sum_of_gens()] + list(p_ring.gens()))
-    return gb, work, sat_p
+    return gb, PolyRing(names, MonomialOrder.block(r + 1))
 
 
-def _lagrange_relations(ideal: Ideal, sat_p: Ideal, work: PolyRing, u) -> list:
-    """sat_p plus u_i - p_i * sum_j lam_j df_j/dp_i, with f_0 = sum p.
+def _lagrange_relations(ideal: Ideal, base: Ideal, work: PolyRing, u) -> list:
+    """base plus u_i - p_i * sum_j lam_j df_j/dp_i, with f_0 = sum p.
 
-    ``work`` is a ring from ``_lagrange_setup``.  ``u`` is the data:
-    its u variables for the correspondence, or integers for the fiber
-    over one data vector.
+    ``work`` is a ring from ``_lagrange_setup``.  ``base`` is an ideal
+    in Q[p] with the zeros of the model ideal: its saturation for the
+    correspondence, the model ideal itself for a fiber.  ``u`` is the
+    data: its u variables for the correspondence, or integers for the
+    fiber over one data vector.
     """
     r = len(ideal.generators)
     gens = work.gens()
@@ -213,7 +207,7 @@ def _lagrange_relations(ideal: Ideal, sat_p: Ideal, work: PolyRing, u) -> list:
     p = gens[r + 1 : r + 1 + ideal.ring.nvars]
     p_sum = sum(p[1:], p[0])
     fs = [p_sum] + [map_to_ring(g, work) for g in ideal.generators]
-    out = [map_to_ring(g, work) for g in sat_p.generators]
+    out = [map_to_ring(g, work) for g in base.generators]
     for i, (p_i, u_i) in enumerate(zip(p, u)):
         grad = work.zero()
         for j, f in enumerate(fs):
@@ -239,8 +233,15 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
     If that drops every component, as on a non-reduced ideal such as a
     double line, it raises ValueError: pass the radical instead.
     """
-    gb, work, sat_p = _lagrange_setup(ideal, with_data=True)
+    gb, work = _lagrange_setup(ideal, with_data=True)
     p_ring = ideal.ring
+    # The relations u_i - p_i * grad present the work ideal as the graph
+    # of a substitution u = h(lam, p) over the p-part, so saturating at
+    # any polynomial in p alone commutes with attaching the graph:
+    # J : g^inf = (I : g^inf) extended + graph relations.  All requested
+    # multipliers live in the p-variables, so the saturations run in the
+    # small ring and the graph relations are added afterwards.
+    sat_p = saturate_by_product(ideal, [p_ring.sum_of_gens()] + list(p_ring.gens()))
     # a model outside the torus leaves the unit ideal here already: its
     # correspondence is (1), singular saturation or not
     if saturate_singular and ideal.generators and not _is_unit(sat_p.generators):
@@ -290,18 +291,23 @@ def compute_lc(model_input, *, saturate_singular: bool = False) -> LikelihoodIde
 def _fibers(model_input):
     """The number of states and a map from data to the fiber's ideal in Q[p].
 
-    Whatever every trial shares (the toric ideal, the small-ring
-    saturation) is computed here, once.
+    The fiber holds the critical points for the data on the chart
+    sum p = 1, off the coordinate hyperplanes; each route builds the
+    ideal that its exactness argument in ``ml_degree`` needs.  Whatever
+    every trial shares (the toric ideal, the work ring) is computed
+    here, once.
     """
     if isinstance(model_input, LikelihoodIdeal):
         lc = model_input
         n1 = lc.ring.nvars // 2
         p_ring = PolyRing(lc.ring.variables[:n1], GREVLEX)
         u_names = lc.ring.variables[n1:]
+        chart = p_ring.sum_of_gens() - 1
 
         def fiber(data):
             bindings = dict(zip(u_names, data))
-            return Ideal(p_ring, [g.substitute(bindings) for g in lc.generators])
+            gens = [g.substitute(bindings) for g in lc.generators] + [chart]
+            return saturate_by_product(Ideal(p_ring, gens), p_ring.gens())
 
     elif isinstance(model_input, (ToricModel, IntMatrix, ModelGraph)):
         model = toric_model(model_input)
@@ -310,12 +316,13 @@ def _fibers(model_input):
         if n1 < 2:
             raise ValueError("need at least two states")
         ix = toric_ideal(model)
+        chart = ix.ring.sum_of_gens() - 1
 
         def fiber(data):
-            return Ideal(ix.ring, _toric_relations(a, ix, ix.ring, data))
+            return Ideal(ix.ring, _toric_relations(a, ix, ix.ring, data) + [chart])
 
     elif isinstance(model_input, Ideal):
-        _, work, sat_p = _lagrange_setup(model_input, with_data=False)
+        _, work = _lagrange_setup(model_input, with_data=False)
         n1 = model_input.ring.nvars
         k = len(model_input.generators) + 1
         p = work.gens()[k:]
@@ -324,7 +331,7 @@ def _fibers(model_input):
         def fiber(data):
             # the chart goes in before the multipliers are eliminated, so
             # the fiber in p is finite; lam need not be unique over it
-            gens = _lagrange_relations(model_input, sat_p, work, data) + [chart]
+            gens = _lagrange_relations(model_input, model_input, work, data) + [chart]
             return eliminate(Ideal(work, gens), k)
 
     else:
@@ -333,11 +340,8 @@ def _fibers(model_input):
 
 
 def _fiber_count(fiber: Ideal, data) -> int:
-    """Length of a fiber on the chart sum p = 1, off the coordinate hyperplanes."""
-    ring = fiber.ring
-    chart = ring.sum_of_gens() - 1
-    sat = saturate_by_product(Ideal(ring, fiber.generators + (chart,)), ring.gens())
-    gb = sat.groebner()
+    """The length of a fiber ideal, which must be zero-dimensional."""
+    gb = fiber.groebner()
     if not is_zero_dimensional(gb):
         raise DegenerateFiberError(f"fiber over data {tuple(data)} is not zero-dimensional")
     return quotient_dimension(gb)
@@ -347,25 +351,37 @@ def ml_degree(model_input, trials: int = 3, seed: int = 0, u_range=(1, 1000)) ->
     """Maximum-likelihood degree: the number of critical points for generic data.
 
     Each trial draws seeded random integer data u* in u_range, puts it
-    into the construction before any Groebner work, adds the chart
-    sum p = 1, saturates at the coordinates, and counts standard
+    into the construction before any Groebner work, and counts standard
     monomials of the (necessarily zero-dimensional) fiber ideal in Q[p].
-    No correspondence is built, and each route is exact:
+    No correspondence is built.  Every route cuts its fiber to the chart
+    sum p = 1, and each is exact:
 
-    * toric input: the fiber of I_A plus the 2x2 minors of A * [p | u*],
-      which are linear in p.  The correspondence is J : (sum p)^inf for
-      J = I_A + the minors of A * [p | u], and both generate one ideal
-      once (sum p)(prod p) is inverted; substituting u* is a ring map,
-      and on the chart off the coordinate hyperplanes that product is a
-      unit, so the two fibers agree for every u*.
+    * toric input: I_A plus the 2x2 minors of A * [p | u*], which are
+      linear in p, plus the chart, unsaturated.  The correspondence is
+      J : (sum p)^inf for J = I_A + the minors of A * [p | u]; the two
+      generate one ideal once (sum p)(prod p) is inverted, and
+      substituting u* is a ring map, so their fibers agree off the
+      coordinate hyperplanes.  The fiber has no point on them.  At a
+      point p of X_A on the chart, the support of p is the column set
+      of a face F of conv(A), and the minors make A u* proportional to
+      A p, which is nonzero (A has a ones row) and lies in the span of
+      F.  As u* >= 1, A u* is a positive combination of every column,
+      so it misses each proper face's supporting hyperplane: F is all
+      of conv(A) and every p_i is nonzero.  So every p_i is a unit
+      modulo the fiber, and saturating there would change nothing.
     * ideal input: the Lagrange relations u*_i = p_i * grad_i over the
-      model saturated at (sum p)(prod p), with the multipliers
+      model ideal itself, plus the chart, with the multipliers
       eliminated.  With u*_i >= 1 every p_i divides a nonzero constant,
-      so it is a unit, and the chart removes sum p = 0: the ideal cuts
-      out the critical points for u*, as the correspondence's fiber
-      does for generic u*.
+      so it is a unit, and the chart makes sum p one; modulo the
+      relations the model ideal and its saturation at (sum p)(prod p)
+      agree, and so do their eliminations, whose p_i stay units (a
+      g * p_i^k in the elimination puts g in it).  The ideal cuts out
+      the critical points for u*, as the correspondence's fiber does
+      for generic u*.
     * a precomputed ``LikelihoodIdeal``: u* is substituted into its
-      generators.
+      generators, and the result saturated at the coordinates.  It is
+      a closure, so its fiber can hold points on the coordinate
+      hyperplanes; this route alone saturates.
 
     The modal count across trials is returned; all-distinct counts raise
     UnstableCountError, a non-finite fiber DegenerateFiberError.

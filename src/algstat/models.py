@@ -240,6 +240,12 @@ def maximal_cliques(graph: ModelGraph) -> list[tuple[DiscreteRandomVariable, ...
     return [tuple(graph.vertices[i] for i in clique) for clique in found]
 
 
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list")
+    return value
+
+
 def parse_model_json(text: str):
     """Parse model JSON.
 
@@ -253,14 +259,15 @@ def parse_model_json(text: str):
     if not isinstance(data, dict) or "variables" not in data:
         raise InputError("model JSON must be an object with a 'variables' list")
     variables = []
-    for entry in data["variables"]:
+    for entry in _json_list(data["variables"], "'variables'"):
         if not isinstance(entry, dict) or "name" not in entry or "arity" not in entry:
             raise InputError("each variable needs 'name' and 'arity'")
+        pmf = entry.get("pmf")
+        if pmf is not None:
+            _json_list(pmf, f"variable {entry['name']!r}: pmf")
         try:
             variables.append(
-                DiscreteRandomVariable(
-                    entry["arity"], entry.get("pmf"), name=entry["name"]
-                )
+                DiscreteRandomVariable(entry["arity"], pmf, name=entry["name"])
             )
         except ValueError as exc:
             raise InputError(f"variable {entry.get('name')!r}: {exc}") from None
@@ -271,15 +278,19 @@ def parse_model_json(text: str):
     if has_gens:
         by_name = {v.name: v for v in variables}
         generators = []
-        for gen in data["generators"]:
+        for gen in _json_list(data["generators"], "'generators'"):
             members = []
-            for name in gen:
-                if name not in by_name:
+            for name in _json_list(gen, "each generator"):
+                if not isinstance(name, str) or name not in by_name:
                     raise InputError(f"generator member {name!r} is not a variable")
                 members.append(by_name[name])
             generators.append(members)
         return variables, generators
+    edges = _json_list(data.get("edges", []), "'edges'")
+    for edge in edges:
+        if not isinstance(edge, list) or len(edge) != 2:
+            raise InputError(f"edge {edge!r} must be a pair of variable names")
     try:
-        return ModelGraph(variables, data.get("edges", ()))
+        return ModelGraph(variables, edges)
     except ValueError as exc:
         raise InputError(str(exc)) from None

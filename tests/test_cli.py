@@ -353,6 +353,22 @@ def test_malformed_json_exits_one(capsys, tmp_path):
     assert "JSON" in err
 
 
+@pytest.mark.parametrize("fields", [
+    '"variables": 5',
+    '"variables": [{"name": "a", "arity": 2}], "edges": [1]',
+    '"variables": [{"name": "a", "arity": 2}], "generators": [5]',
+    '"variables": [{"name": "a", "arity": 2}], "generators": [[["a"]]]',
+    '"variables": [{"name": "a", "arity": 2, "pmf": 5}]',
+])
+def test_malformed_model_fields_exit_one(capsys, fields):
+    # each of these once escaped parse_model_json as a TypeError
+    code, out, err = _run(capsys, "ml-degree", "--model", "{" + fields + "}", "--inline")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_conflicting_inputs_exit_one(capsys, hw_file):
     code, _, err = _run(
         capsys, "compute-lc", hw_file, "--ideal", HW_IDEAL_TEXT, "--inline"

@@ -19,6 +19,7 @@ from algstat import (
     ParseError,
     PolyMatrix,
     PolyRing,
+    buchberger,
     eliminate,
     format_ideal,
     ideal_contains,
@@ -302,6 +303,22 @@ def test_eliminate_handles_any_input_order():
     r = _ring(("t", "x", "y"))
     out = eliminate(_ideal(r, "x - t^2", "y - t^3"), 1)
     assert [print_polynomial(g) for g in out.generators] == ["x^3 - y^2"]
+
+
+def test_eliminate_returns_a_reduced_basis_only_under_grevlex():
+    gens = ("t - x", "x^2 + y^2 + z^2 - 1", "x*y - z^3")
+    # grevlex is block(1)'s tail order: the generators are the reduced basis
+    out = eliminate(_ideal(_ring(("t", "x", "y", "z")), *gens), 1)
+    assert list(out.generators) == list(buchberger(out).basis)
+    # under lex they only generate the ideal: not monic, and the reduced
+    # lex basis has four elements
+    out = eliminate(_ideal(_ring(("t", "x", "y", "z"), LEX), *gens), 1)
+    assert [print_polynomial(g) for g in out.generators] == [
+        "x^2 + y^2 + z^2 - 1", "-x*y + z^3",
+    ]
+    reduced = buchberger(out)
+    assert len(reduced.basis) == 4
+    assert ideal_equal(out, Ideal(out.ring, reduced.basis))
 
 
 def test_eliminate_rejects_bad_counts():

@@ -12,13 +12,17 @@ from algstat import (
     IntMatrix,
     ModelGraph,
     PolyRing,
+    SplitMix64,
     compute_lc,
     format_ideal,
+    ideal_equal,
     ml_degree,
     rational_normal_scroll,
     run,
+    saturate_by_product,
     toric_ideal,
 )
+from algstat.likelihood import _fibers
 
 SEEDS = (0, 3, 11)
 
@@ -80,7 +84,13 @@ def test_toric_ideal_matches_correspondence(corpus, name):
     (lambda p0, p1, p2: (p0 * p2 - p1 ** 2) * (p0 - 2 * p1 + 3 * p2), 4),
     (lambda p0, p1, p2: p0, 0),
     (lambda p0, p1, p2: (p0 - p1) ** 2, 0),
-], ids=["scaled-conic", "nodal-cubic", "cuspidal-cubic", "reducible", "off-torus", "double-line"])
+    # components inside a coordinate hyperplane: the fiber route counts
+    # over the model ideal itself, not over its saturation
+    (lambda p0, p1, p2: p0 * (4 * p0 * p2 - p1 ** 2), 1),
+    (lambda p0, p1, p2: p0 ** 2 * (4 * p0 * p2 - p1 ** 2), 1),
+    (lambda p0, p1, p2: p1 * (p0 * p2 - p1 ** 2) * (p0 - 2 * p1 + 3 * p2), 4),
+], ids=["scaled-conic", "nodal-cubic", "cuspidal-cubic", "reducible", "off-torus", "double-line",
+        "conic-and-line", "conic-and-double-line", "reducible-and-line"])
 def test_hypersurface_matches_correspondence(build, expected):
     model = _hypersurface(2, build)
     _assert_matches_correspondence(model)
@@ -105,6 +115,42 @@ def _matrices_with_ones_row(draw):
 @given(_matrices_with_ones_row(), st.integers(0, 2 ** 31))
 def test_random_toric_matches_correspondence(a, seed):
     assert ml_degree(a, seed=seed) == ml_degree(compute_lc(a), seed=seed)
+
+
+# ------------------------------------------- fibers that need no saturation
+
+
+def _is_saturated(fiber):
+    """Whether saturating at every coordinate leaves the fiber as it is."""
+    return ideal_equal(fiber, saturate_by_product(fiber, fiber.ring.gens()))
+
+
+def _seeded_data(seed, n1):
+    rng = SplitMix64(seed)
+    return [rng.next_int(1, 1000) for _ in range(n1)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_matrices_with_ones_row(), st.integers(0, 2 ** 31))
+def test_toric_fiber_is_saturated(a, seed):
+    # positive data keeps every point of the fiber off the coordinate
+    # hyperplanes, so the toric route counts its fiber as it stands
+    n1, fiber = _fibers(a)
+    assert _is_saturated(fiber(_seeded_data(seed, n1)))
+
+
+def test_lagrange_fiber_is_saturated(corpus):
+    for _, a in corpus:
+        n1, fiber = _fibers(toric_ideal(a))
+        for seed in SEEDS:
+            assert _is_saturated(fiber(_seeded_data(seed, n1)))
+
+
+def test_toric_fiber_with_a_zero_datum_is_not_saturated(rnc2_matrix):
+    # with u* = (0, 0, 5) the point (0, 0, 1) of the conic lies on the
+    # fiber, and saturating at p_0 removes it
+    _, fiber = _fibers(rnc2_matrix)
+    assert not _is_saturated(fiber([0, 0, 5]))
 
 
 # ---------------------------------------------------------------- oracles
