@@ -9,9 +9,11 @@ remainder by the scale it accumulated.  The reduced basis handed back is
 monic over Q, sorted ascending by leading term, and therefore canonical
 for the ideal and order.
 
-Also here: elimination via block orders, saturation by the auxiliary
-variable trick (t*f - 1), minors of polynomial matrices, and the
-standard-monomial counting used to read off fiber cardinalities.
+Also here: elimination via block orders, saturation and intersection
+by the auxiliary-variable trick (t*f - 1), minors of polynomial
+matrices, and the standard-monomial counting used to read off fiber
+cardinalities.  Auxiliary variables get fresh names, so a ring may use
+any variable names.
 """
 
 from __future__ import annotations
@@ -61,9 +63,6 @@ __all__ = [
 ]
 
 STANDARD_MONOMIAL_CAP = 1_000_000
-
-# reserved by `saturate` for the auxiliary variable
-SATURATION_VARIABLE = "t"
 
 
 class Ideal:
@@ -516,36 +515,47 @@ def eliminate(ideal: Ideal, k: int) -> Ideal:
     return Ideal(sub, gens)
 
 
-def _eliminate_aux(ring: PolyRing, purpose: str, gens) -> Ideal:
-    """Eliminate the auxiliary variable t from the ideal gens(t) builds.
+def _eliminate_auxiliary(ring: PolyRing, k: int, build) -> Ideal:
+    """Add k auxiliary variables to ring, build an ideal, eliminate them again.
 
-    t is prepended to the ring's variables under block(1); gens maps
-    the generator t of that extension ring to the extension's generators.
+    The auxiliary variables are named t_0..t_{k-1}, or t1_0.., t2_0..,
+    and so on, the first of these lists that shares no name with the
+    ring.  They go in front of the ring's variables under block(k), and
+    build(aux, variables), given the extension ring's generators in
+    those two groups, returns the generators of the ideal there.  The
+    elimination ideal is returned in ``ring``.
     """
-    if SATURATION_VARIABLE in ring.variables:
-        raise ValueError(
-            f"variable name {SATURATION_VARIABLE!r} is reserved for {purpose}"
-        )
-    ext = PolyRing((SATURATION_VARIABLE,) + ring.variables, MonomialOrder.block(1))
-    elim = eliminate(Ideal(ext, gens(ext.gen(0))), 1)
+    taken = set(ring.variables)
+    for i in itertools.count():
+        names = tuple(f"t{i or ''}_{j}" for j in range(k))
+        if taken.isdisjoint(names):
+            break
+    ext = PolyRing(names + ring.variables, MonomialOrder.block(k))
+    gens = ext.gens()
+    elim = eliminate(Ideal(ext, build(gens[:k], gens[k:])), k)
+    if elim.ring == ring:
+        return elim
     return Ideal(ring, [map_to_ring(g, ring) for g in elim.generators])
 
 
 def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
-    """The saturation I : f^infinity via the auxiliary variable t."""
+    """The saturation I : f^infinity: eliminate t from I + (t*f - 1).
+
+    t is a fresh auxiliary variable, so the ring may use any names.
+    """
     ring = ideal.ring
     if f.ring != ring:
         raise ValueError("polynomial lives in a different ring")
     if not f.terms:
         raise ValueError("cannot saturate by the zero polynomial")
 
-    def gens(t):
-        ext = t.ring
-        return [map_to_ring(g, ext) for g in ideal.generators] + [
-            t * map_to_ring(f, ext) - 1
+    def build(aux, _):
+        t = aux[0]
+        return [map_to_ring(g, t.ring) for g in ideal.generators] + [
+            t * map_to_ring(f, t.ring) - 1
         ]
 
-    return _eliminate_aux(ring, "saturation", gens)
+    return _eliminate_auxiliary(ring, 1, build)
 
 
 def saturate_by_product(ideal: Ideal, factors) -> Ideal:
@@ -563,8 +573,8 @@ def saturate_by_product(ideal: Ideal, factors) -> Ideal:
 def intersect(a: Ideal, b: Ideal) -> Ideal:
     """The intersection of two ideals in the same ring.
 
-    Uses the auxiliary-variable trick: (t*A + (1-t)*B) restricted to
-    the t-free subring.
+    Uses the auxiliary-variable trick: t*A + (1-t)*B restricted to the
+    t-free subring, with t a fresh auxiliary variable.
     """
     if a.ring != b.ring:
         raise ValueError("ideals live in different rings")
@@ -572,13 +582,13 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     if not a.generators or not b.generators:
         return Ideal(ring, ())
 
-    def gens(t):
-        ext = t.ring
-        return [t * map_to_ring(g, ext) for g in a.generators] + [
-            (ext.one() - t) * map_to_ring(g, ext) for g in b.generators
+    def build(aux, _):
+        t = aux[0]
+        return [t * map_to_ring(g, t.ring) for g in a.generators] + [
+            (1 - t) * map_to_ring(g, t.ring) for g in b.generators
         ]
 
-    return _eliminate_aux(ring, "intersection", gens)
+    return _eliminate_auxiliary(ring, 1, build)
 
 
 def krull_dimension(gb: GroebnerBasis) -> int:

@@ -11,7 +11,8 @@ ideal lives in Q[p, u] and is computed here two ways:
   every coordinate hyperplane; the "full" reference mode also saturates
   at every p_i and gives the same ideal);
 * a general path for arbitrary homogeneous ideals: Lagrange
-  multipliers lambda_j in an elimination block, the critical equations
+  multipliers lambda_j in an elimination block (fresh auxiliary
+  variables, see ``groebner``), the critical equations
   u_i = p_i * sum_j lambda_j d f_j / d p_i, saturation, then
   elimination of the multipliers.
 
@@ -35,7 +36,7 @@ from .exactmath import IntMatrix
 from .groebner import (
     Ideal,
     PolyMatrix,
-    eliminate,
+    _eliminate_auxiliary,
     intersect,
     is_zero_dimensional,
     krull_dimension,
@@ -46,7 +47,7 @@ from .groebner import (
     saturate_by_product,
 )
 from .models import ModelGraph, derive_seed, SplitMix64
-from .ring import GREVLEX, MonomialOrder, Polynomial, PolyRing, map_to_ring
+from .ring import GREVLEX, Polynomial, PolyRing, map_to_ring
 from .toric import ToricModel, toric_ideal, toric_model
 
 __all__ = [
@@ -163,57 +164,36 @@ def _saturate_by_ideal(ideal: Ideal, multiplier: Ideal) -> Ideal:
     return out
 
 
-def _lagrange_setup(ideal: Ideal, with_data: bool):
-    """Check a model ideal and build what every Lagrange system over it shares.
-
-    Returns the ideal's Groebner basis and the work ring
-    Q[lam_0..lam_r, p] (then u_0..u_n, if ``with_data``) under
-    block(r + 1).
-    """
-    p_ring = ideal.ring
-    p_names = p_ring.variables
-    n = len(p_names) - 1
-    if n < 1:
+def _check_model_ideal(ideal: Ideal) -> None:
+    """Reject what has no Lagrange system: one state, inhomogeneity, the unit ideal."""
+    if ideal.ring.nvars < 2:
         raise ValueError("need at least two states")
     for g in ideal.generators:
         if not g.is_homogeneous():
             raise ValueError(f"generator {g} is not homogeneous")
-    gb = ideal.groebner()
-    if _is_unit(gb.basis):
+    if _is_unit(ideal.groebner().basis):
         raise ValueError("the unit ideal has no likelihood correspondence")
 
-    r = len(ideal.generators)
-    lam_names = tuple(f"lam_{j}" for j in range(r + 1))
-    u_names = tuple(f"u_{i}" for i in range(n + 1))
-    for name in p_names:
-        if name in lam_names or name in u_names or name == "t":
-            raise InputError(f"model variable name {name!r} collides with a reserved name")
-    names = lam_names + p_names + (u_names if with_data else ())
-    return gb, PolyRing(names, MonomialOrder.block(r + 1))
 
-
-def _lagrange_relations(ideal: Ideal, base: Ideal, work: PolyRing, u) -> list:
+def _lagrange_relations(ideal: Ideal, base: Ideal, lam, p, u) -> list:
     """base plus u_i - p_i * sum_j lam_j df_j/dp_i, with f_0 = sum p.
 
-    ``work`` is a ring from ``_lagrange_setup``.  ``base`` is an ideal
-    in Q[p] with the zeros of the model ideal: its saturation for the
-    correspondence, the model ideal itself for a fiber.  ``u`` is the
-    data: its u variables for the correspondence, or integers for the
-    fiber over one data vector.
+    ``lam`` (one multiplier per f_j) and ``p`` (the model's variables)
+    are generators of one ring.  ``base`` is an ideal in Q[p] with the
+    zeros of the model ideal: its saturation for the correspondence,
+    the model ideal itself for a fiber.  ``u`` is the data: variables
+    of that ring for the correspondence, or integers for the fiber over
+    one data vector.
     """
-    r = len(ideal.generators)
-    gens = work.gens()
-    lam = gens[: r + 1]
-    p = gens[r + 1 : r + 1 + ideal.ring.nvars]
-    p_sum = sum(p[1:], p[0])
-    fs = [p_sum] + [map_to_ring(g, work) for g in ideal.generators]
-    out = [map_to_ring(g, work) for g in base.generators]
-    for i, (p_i, u_i) in enumerate(zip(p, u)):
-        grad = work.zero()
-        for j, f in enumerate(fs):
-            df = f.differentiate(r + 1 + i)
+    ring = p[0].ring
+    fs = [sum(p[1:], p[0])] + [map_to_ring(g, ring) for g in ideal.generators]
+    out = [map_to_ring(g, ring) for g in base.generators]
+    for name, p_i, u_i in zip(ideal.ring.variables, p, u):
+        grad = ring.zero()
+        for lam_j, f in zip(lam, fs):
+            df = f.differentiate(name)
             if df.terms:
-                grad = grad + lam[j] * df
+                grad = grad + lam_j * df
         out.append(u_i - p_i * grad)
     return out
 
@@ -223,7 +203,9 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
 
     Lagrange construction: with f_0 = sum p_i and f_1..f_r the
     generators, impose u_i = p_i * sum_j lambda_j df_j/dp_i, saturate
-    at (prod p)(sum p), then eliminate the lambda block.
+    at (prod p)(sum p), then eliminate the lambda block.  The
+    multipliers get fresh names; the data are u_0..u_n, so the model
+    may use any variable names but those (InputError).
 
     ``saturate_singular`` additionally saturates the model ideal in Q[p]
     at the codimension-sized minors of the Jacobian of its generators,
@@ -233,9 +215,14 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
     If that drops every component, as on a non-reduced ideal such as a
     double line, it raises ValueError: pass the radical instead.
     """
-    gb, work = _lagrange_setup(ideal, with_data=True)
+    _check_model_ideal(ideal)
     p_ring = ideal.ring
-    # The relations u_i - p_i * grad present the work ideal as the graph
+    n1 = p_ring.nvars
+    u_names = tuple(f"u_{i}" for i in range(n1))
+    for name in p_ring.variables:
+        if name in u_names:
+            raise InputError(f"model variable {name!r} is a data name u_0..{u_names[-1]}")
+    # The relations u_i - p_i * grad present the Lagrange ideal as the graph
     # of a substitution u = h(lam, p) over the p-part, so saturating at
     # any polynomial in p alone commutes with attaching the graph:
     # J : g^inf = (I : g^inf) extended + graph relations.  All requested
@@ -245,7 +232,7 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
     # a model outside the torus leaves the unit ideal here already: its
     # correspondence is (1), singular saturation or not
     if saturate_singular and ideal.generators and not _is_unit(sat_p.generators):
-        codim = p_ring.nvars - krull_dimension(gb)
+        codim = p_ring.nvars - krull_dimension(ideal.groebner())
         jac = PolyMatrix(
             [
                 [g.differentiate(i) for i in range(p_ring.nvars)]
@@ -262,12 +249,15 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
                 "every component lies in the Jacobian's degeneracy locus; pass the radical"
             )
 
-    k = len(ideal.generators) + 1
-    u = work.gens()[k + p_ring.nvars :]
-    # eliminate returns the reduced basis in Q[p, u] under grevlex
-    elim = eliminate(Ideal(work, _lagrange_relations(ideal, sat_p, work, u)), k)
+    ring = PolyRing(p_ring.variables + u_names, GREVLEX)
+
+    def build(lam, pu):
+        return _lagrange_relations(ideal, sat_p, lam, pu[:n1], pu[n1:])
+
+    # the elimination is the reduced basis in Q[p, u] under grevlex
+    elim = _eliminate_auxiliary(ring, len(ideal.generators) + 1, build)
     out = tuple(g.primitive_part() for g in elim.generators)
-    return LikelihoodIdeal(elim.ring, out, "lagrange")
+    return LikelihoodIdeal(ring, out, "lagrange")
 
 
 def compute_lc(model_input, *, saturate_singular: bool = False) -> LikelihoodIdeal:
@@ -294,8 +284,9 @@ def _fibers(model_input):
     The fiber holds the critical points for the data on the chart
     sum p = 1, off the coordinate hyperplanes; each route builds the
     ideal that its exactness argument in ``ml_degree`` needs.  Whatever
-    every trial shares (the toric ideal, the work ring) is computed
-    here, once.
+    every trial shares (the toric ideal, the model checks) is done
+    here, once.  The Lagrange route's multipliers get fresh names, so
+    the model may use any variable names, u_0..u_n included.
     """
     if isinstance(model_input, LikelihoodIdeal):
         lc = model_input
@@ -322,17 +313,18 @@ def _fibers(model_input):
             return Ideal(ix.ring, _toric_relations(a, ix, ix.ring, data) + [chart])
 
     elif isinstance(model_input, Ideal):
-        _, work = _lagrange_setup(model_input, with_data=False)
+        _check_model_ideal(model_input)
         n1 = model_input.ring.nvars
-        k = len(model_input.generators) + 1
-        p = work.gens()[k:]
-        chart = sum(p[1:], p[0]) - 1
+        p_ring = PolyRing(model_input.ring.variables, GREVLEX)
 
         def fiber(data):
             # the chart goes in before the multipliers are eliminated, so
             # the fiber in p is finite; lam need not be unique over it
-            gens = _lagrange_relations(model_input, model_input, work, data) + [chart]
-            return eliminate(Ideal(work, gens), k)
+            def build(lam, p):
+                relations = _lagrange_relations(model_input, model_input, lam, p, data)
+                return relations + [sum(p[1:], p[0]) - 1]
+
+            return _eliminate_auxiliary(p_ring, len(model_input.generators) + 1, build)
 
     else:
         raise TypeError(f"cannot compute an ML degree from {type(model_input).__name__}")

@@ -92,7 +92,7 @@ class DiscreteRandomVariable:
     __slots__ = ("name", "arity", "pmf")
 
     def __init__(self, arity: int, pmf=None, name: str = "x"):
-        if not isinstance(arity, int) or arity < 1:
+        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
             raise ValueError("arity must be a positive integer")
         if pmf is None:
             probs = (Fraction(1, arity),) * arity
@@ -262,6 +262,8 @@ def parse_model_json(text: str):
     for entry in _json_list(data["variables"], "'variables'"):
         if not isinstance(entry, dict) or "name" not in entry or "arity" not in entry:
             raise InputError("each variable needs 'name' and 'arity'")
+        if not isinstance(entry["name"], str):
+            raise InputError(f"variable name {entry['name']!r} is not a string")
         pmf = entry.get("pmf")
         if pmf is not None:
             _json_list(pmf, f"variable {entry['name']!r}: pmf")

@@ -369,6 +369,36 @@ def test_malformed_model_fields_exit_one(capsys, fields):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("variable", [
+    '{"name": ["a"], "arity": 2}',
+    '{"name": null, "arity": 2}',
+    '{"name": "a", "arity": true}',
+])
+def test_malformed_model_variable_exits_one(capsys, variable):
+    # each of these once printed a matrix for a variable named ['a'] or
+    # None, or of arity True
+    model = '{"variables": [' + variable + '], "edges": []}'
+    code, out, err = _run(capsys, "loglinear-matrix", "--model", model, "--inline")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_model_variable_names_are_free_but_the_data(capsys):
+    code, out, _ = _run(capsys, "ml-degree", "--ideal", "ring t a b;t*b - a^2", "--inline")
+    assert (code, out) == (0, "2\n")
+    code, out, _ = _run(capsys, "ml-degree", "--ideal", "ring u_0..u_2;u_0*u_2 - u_1^2", "--inline")
+    assert (code, out) == (0, "2\n")
+    # compute-lc names the data u_0..u_n in its output ring
+    code, out, err = _run(
+        capsys, "compute-lc", "--ideal", "ring u_0..u_2;u_0*u_2 - u_1^2", "--inline"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_conflicting_inputs_exit_one(capsys, hw_file):
     code, _, err = _run(
         capsys, "compute-lc", hw_file, "--ideal", HW_IDEAL_TEXT, "--inline"

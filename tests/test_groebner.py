@@ -27,6 +27,7 @@ from algstat import (
     intersect,
     is_zero_dimensional,
     krull_dimension,
+    map_to_ring,
     minors,
     mul_int_poly,
     normal_form,
@@ -371,13 +372,29 @@ def test_saturate_fixed_when_multiplier_is_nonzerodivisor():
     assert ideal_equal(out, i)
 
 
-def test_saturate_and_intersect_reserve_t():
-    r = _ring(("t", "x"))
-    i = _ideal(r, "t*x")
-    with pytest.raises(ValueError, match="reserved for saturation"):
-        saturate(i, parse_polynomial("x", r))
-    with pytest.raises(ValueError, match="reserved for intersection"):
-        intersect(i, _ideal(r, "x"))
+@pytest.mark.parametrize("names", [("t", "x", "y"), ("t_0", "t1_0", "t")])
+def test_saturate_and_intersect_take_any_variable_names(names):
+    # the auxiliary variable gets a fresh name, so the ring may hold t
+    # and the first names tried for it (t_0, then t1_0)
+    plain = _ring(("a", "b", "c"))
+    r = _ring(names)
+    rename = dict(zip(plain.variables, names))
+
+    def moved(ideal):
+        return [map_to_ring(g, r, rename) for g in ideal.generators]
+
+    i = _ideal(plain, "a*b - a*c", "a^2*c")
+    j = _ideal(plain, "b^2 - c^2")
+    f = parse_polynomial("a", plain)
+    sat = saturate(Ideal(r, moved(i)), map_to_ring(f, r, rename))
+    assert sat.ring == r
+    assert list(sat.generators) == moved(saturate(i, f))
+    assert list(saturate_by_product(Ideal(r, moved(i)), r.gens()).generators) == moved(
+        saturate_by_product(i, plain.gens())
+    )
+    meet = intersect(Ideal(r, moved(i)), Ideal(r, moved(j)))
+    assert meet.ring == r
+    assert list(meet.generators) == moved(intersect(i, j))
 
 
 def test_saturate_by_product_examples():

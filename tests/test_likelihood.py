@@ -187,16 +187,38 @@ def test_lc_general_rejects_unit_ideal():
         compute_lc_general(Ideal(r, [parse_polynomial("x - x + 1", r)]))
 
 
-def test_lc_general_rejects_reserved_names():
-    r = PolyRing(("u_0", "u_1"), GREVLEX)
-    with pytest.raises(InputError):
-        compute_lc_general(Ideal(r, []))
-    r2 = PolyRing(("lam_0", "q"), GREVLEX)
-    with pytest.raises(InputError):
-        compute_lc_general(Ideal(r2, []))
-    r3 = PolyRing(("t", "q"), GREVLEX)
-    with pytest.raises(InputError):
-        compute_lc_general(Ideal(r3, []))
+def _conic_in(names):
+    r = PolyRing(names, GREVLEX)
+    x, y, z = r.gens()
+    return Ideal(r, [x * z - y * y])
+
+
+@pytest.mark.parametrize(
+    "names", [("t", "a", "b"), ("lam_0", "lam_1", "t"), ("t_0", "t_1", "t1_0")]
+)
+def test_lc_general_takes_any_names_but_the_data(names):
+    # the multipliers and the saturation variable get fresh names; the
+    # last ring holds the first two names tried for the conic's two
+    # multipliers
+    reference = compute_lc_general(_conic_in(("p_0", "p_1", "p_2")))
+    lc = compute_lc_general(_conic_in(names))
+    assert lc.ring.variables == names + ("u_0", "u_1", "u_2")
+    rename = dict(zip(reference.ring.variables, lc.ring.variables))
+    assert lc.generators == tuple(map_to_ring(g, lc.ring, rename) for g in reference)
+
+
+def test_lc_general_rejects_the_data_names():
+    with pytest.raises(InputError, match="'u_0'"):
+        compute_lc_general(_conic_in(("u_0", "u_1", "u_2")))
+    with pytest.raises(InputError, match="'u_1'"):
+        compute_lc_general(Ideal(PolyRing(("q", "u_1"), GREVLEX), []))
+
+
+@pytest.mark.parametrize(
+    "names", [("t", "a", "b"), ("lam_0", "lam_1", "t"), ("u_0", "u_1", "u_2")]
+)
+def test_ml_degree_takes_any_names(names):
+    assert ml_degree(_conic_in(names)) == 2
 
 
 def test_lc_general_singular_saturation_noop_on_conic(hw_ideal):

@@ -10,12 +10,14 @@ from algstat import (
     DiscreteRandomVariable,
     Ideal,
     IntMatrix,
+    LikelihoodIdeal,
     ModelGraph,
     PolyRing,
     SplitMix64,
     compute_lc,
     format_ideal,
     ideal_equal,
+    intersect,
     ml_degree,
     rational_normal_scroll,
     run,
@@ -151,6 +153,17 @@ def test_toric_fiber_with_a_zero_datum_is_not_saturated(rnc2_matrix):
     # fiber, and saturating at p_0 removes it
     _, fiber = _fibers(rnc2_matrix)
     assert not _is_saturated(fiber([0, 0, 5]))
+
+
+def test_precomputed_fiber_is_saturated(rnc2_matrix):
+    # a correspondence with an extra component on p_0 = 0: only the
+    # saturation of the precomputed route at the coordinates drops it
+    lc = compute_lc(rnc2_matrix)
+    p = lc.ring.gens()
+    extra = intersect(lc.ideal(), Ideal(lc.ring, [p[0], p[1] - p[2]]))
+    padded = LikelihoodIdeal(lc.ring, extra.generators, "toric")
+    for seed in SEEDS:
+        assert ml_degree(padded, seed=seed) == 2, seed
 
 
 # ---------------------------------------------------------------- oracles

@@ -104,6 +104,10 @@ def test_drv_validation():
     with pytest.raises(ValueError):
         DiscreteRandomVariable(0)
     with pytest.raises(ValueError):
+        DiscreteRandomVariable(2.5)
+    with pytest.raises(ValueError):
+        DiscreteRandomVariable(True)
+    with pytest.raises(ValueError):
         DiscreteRandomVariable(2, [Fraction(1, 2), Fraction(1, 3)])
     with pytest.raises(ValueError):
         DiscreteRandomVariable(2, [Fraction(3, 2), Fraction(-1, 2)])

@@ -18,6 +18,7 @@ from algstat import (
     integer_kernel,
     lattice_span_equal,
     make_loglinear_matrix,
+    map_to_ring,
     maximal_cliques,
     parse_polynomial,
     print_polynomial,
@@ -94,6 +95,17 @@ def test_toric_ideal_twisted_cubic(rnc3_matrix):
 def test_toric_ideal_conic(rnc2_matrix):
     i = toric_ideal(rnc2_matrix)
     assert [print_polynomial(g) for g in i.generators] == ["p_1^2 - p_0*p_2"]
+
+
+def test_toric_ideal_in_a_ring_with_any_names(rnc3_matrix):
+    # its saturations add a variable with a fresh name: t, t_0 and t1_0
+    # are the first names they try
+    r = PolyRing(("t", "t_0", "t1_0", "x"), GREVLEX)
+    i = toric_ideal(rnc3_matrix, ring=r)
+    assert i.ring == r
+    rename = dict(zip(("p_0", "p_1", "p_2", "p_3"), r.variables))
+    expect = [map_to_ring(g, r, rename) for g in toric_ideal(rnc3_matrix).generators]
+    assert list(i.generators) == expect
 
 
 def test_toric_ideal_of_full_space_is_zero(p2_matrix):
