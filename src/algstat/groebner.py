@@ -5,9 +5,13 @@ degree-ordered queue) and the standard pair filters (product and chain
 criteria, applied Gebauer-Moeller style).  Every reduction, the public
 `normal_form` included, runs in one fraction-free kernel over integer
 terms keyed by the order's sort key; `normal_form` divides the kernel's
-remainder by the scale it accumulated.  The reduced basis handed back is
-monic over Q, sorted ascending by leading term, and therefore canonical
-for the ideal and order.
+remainder by the scale it accumulated.  The kernel keeps the part of the
+dividend still to be reduced in a geobucket (Yan, 1998), so a reduction
+step merges the reducer multiple into a short list instead of rebuilding
+the whole remainder, and sort keys are additive, so a shifted term's key
+is a sum instead of a fresh key.  The reduced basis handed back is monic
+over Q, sorted ascending by leading term, and therefore canonical for
+the ideal and order.
 
 Also here: elimination via block orders, saturation and intersection
 by the auxiliary-variable trick (t*f - 1), minors of polynomial
@@ -24,7 +28,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, le, sub
 
 from .errors import GuardrailError, ParseError
 from .exactmath import IntMatrix
@@ -122,7 +126,8 @@ class GroebnerBasis:
 # fraction-free engine internals: polynomials as descending lists of
 # (sort key, exponent tuple, int coefficient), primitive with positive
 # lead.  Keys ride along so the merge loops compare plain tuples
-# instead of re-deriving the order from exponents each time.
+# instead of re-deriving the order from exponents each time; keys are
+# additive, so multiplying by a monomial adds its key to each of them.
 
 
 def _mask(m) -> int:
@@ -158,16 +163,14 @@ def _primitive_terms(poly: Polynomial, key):
     return _normalize_content(_int_terms(poly, key)[0])
 
 
-def _shifted(terms, shift, key):
-    """Multiply by the monomial ``shift`` (keys recomputed, order kept)."""
+def _shifted(terms, shift, kshift):
+    """Multiply by the monomial ``shift`` whose sort key is ``kshift``.
+
+    Sort keys are additive, so each term's key moves by kshift.
+    """
     if not any(shift):
         return list(terms)
-    out = []
-    append = out.append
-    for _, m, c in terms:
-        sm = tuple(map(add, m, shift))
-        append((key(sm), sm, c))
-    return out
+    return [(tuple(map(add, k, kshift)), tuple(map(add, m, shift)), c) for k, m, c in terms]
 
 
 def _combine(f, a, g, b):
@@ -221,55 +224,114 @@ def _combine(f, a, g, b):
     return out
 
 
-def _divide(p, reducers, key):
+def _bucket_add(polys, heads, g, b):
+    """Add b*g to the geobucket (polys, heads), spilling full buckets upward.
+
+    Bucket i holds the descending keyed terms polys[i][heads[i]:], at
+    most 4**(i+1) of them.  g merges into the smallest bucket that could
+    hold it; a merge that overflows empties its bucket into the next.
+    """
+    i = 0
+    cap = 4
+    while len(g) > cap:
+        i += 1
+        cap *= 4
+    while True:
+        while i >= len(polys):
+            polys.append([])
+            heads.append(0)
+        t = polys[i]
+        h = heads[i]
+        if h < len(t) or b != 1:
+            g = _combine(t[h:] if h else t, 1, g, b)
+        b = 1
+        if len(g) <= cap:
+            polys[i] = g
+            heads[i] = 0
+            return
+        polys[i] = []
+        heads[i] = 0
+        i += 1
+        cap *= 4
+
+
+def _divide(p, reducers):
     """Fraction-free full division of keyed term list p: the one reduction loop.
 
     reducers: list of (lt, lc, terms, mask), scanned first-match in list
     order for each leading remaining term.  Returns (rem, scale) with
     scale a positive integer and rem/scale the exact remainder of p.
+
+    The part of p not yet reduced or moved to rem is kept in a geobucket
+    (Yan, "The geobucket data structure for polynomials", 1998): the sum
+    of a few descending term lists of geometrically growing length.  Its
+    leading term is the largest bucket head, equal heads summed and
+    exact cancellations skipped, and a reducer multiple merges into a
+    small bucket instead of the whole remaining list.  The buckets sum
+    exactly (integer arithmetic) to the polynomial that one list, rebuilt
+    after every step, would hold.  So each step sees the same leading
+    term, picks the same reducer and the same scalars a, b, and rem and
+    scale are those of term-by-term division of one merged list.
     """
     rem: list = []
-    work = list(p)
     scale = 1
-    k = 0
-    while k < len(work):
-        _, lm, lc = work[k]
-        mmask = _mask(lm)
-        hit = None
-        for lt, ltc, gterms, gmask in reducers:
-            if gmask & ~mmask:
+    polys: list = []  # the geobucket: bucket i is polys[i][heads[i]:]
+    heads: list = []
+    _bucket_add(polys, heads, p, 1)
+    while True:
+        lk = None
+        for i, t in enumerate(polys):
+            h = heads[i]
+            if h < len(t):
+                k = t[h][0]
+                if lk is None or k > lk:
+                    lk = k
+                    top = i
+                    tie = False
+                elif k == lk:
+                    tie = True
+        if lk is None:
+            break
+        term = polys[top][heads[top]]
+        heads[top] += 1
+        lm = term[1]
+        lc = term[2]
+        if tie:
+            for i, t in enumerate(polys):
+                h = heads[i]
+                if h < len(t) and t[h][0] == lk:
+                    lc += t[h][2]
+                    heads[i] += 1
+            if not lc:
                 continue
-            ok = True
-            for x, y in zip(lt, lm):
-                if x > y:
-                    ok = False
-                    break
-            if ok:
-                hit = (lt, ltc, gterms)
+            term = (lk, lm, lc)
+        mmask = _mask(lm)
+        for lt, ltc, gterms, gmask in reducers:
+            if not gmask & ~mmask and all(map(le, lt, lm)):
                 break
-        if hit is None:
-            rem.append(work[k])
-            k += 1
+        else:
+            rem.append(term)
             continue
-        lt, ltc, gterms = hit
-        shift = tuple(x - y for x, y in zip(lm, lt))
+        shift = tuple(map(sub, lm, lt))
         g0 = gcd(lc, ltc)
         a = ltc // g0
         b = lc // g0
         if a < 0:
             a, b = -a, -b
-        work = _combine(work[k + 1 :], a, _shifted(gterms[1:], shift, key), -b)
-        k = 0
         if a != 1:
             scale *= a
             if rem:
                 rem = [(kk, m, c * a) for kk, m, c in rem]
+            polys = [[(kk, m, c * a) for kk, m, c in t[h:]] for t, h in zip(polys, heads)]
+            heads = [0] * len(polys)
+        kshift = tuple(map(sub, lk, gterms[0][0]))
+        _bucket_add(polys, heads, _shifted(gterms[1:], shift, kshift), -b)
     return rem, scale
 
 
-def _reduce_full(p, reducers, key):
+def _reduce_full(p, reducers):
     """Primitive full normal form of p: a nonzero rational multiple of the remainder."""
-    return _normalize_content(_divide(p, reducers, key)[0])
+    return _normalize_content(_divide(p, reducers)[0])
 
 
 def _make_reducers(term_lists):
@@ -287,7 +349,7 @@ def _spair_terms(f, g, key):
     sf = tuple(a - b for a, b in zip(lcm_m, lf))
     sg = tuple(a - b for a, b in zip(lcm_m, lg))
     g0 = gcd(cf, cg)
-    return _combine(_shifted(f, sf, key), cg // g0, _shifted(g, sg, key), -(cf // g0))
+    return _combine(_shifted(f, sf, key(sf)), cg // g0, _shifted(g, sg, key(sg)), -(cf // g0))
 
 
 def _monomial_divides(a, b) -> bool:
@@ -297,7 +359,7 @@ def _monomial_divides(a, b) -> bool:
     return True
 
 
-def _interreduce(term_lists, key):
+def _interreduce(term_lists):
     """Minimalize, then tail-reduce once (the leading terms are final); canonical lists."""
     items = sorted((t for t in term_lists if t), key=lambda t: t[0][0])
     minimal = []
@@ -307,7 +369,7 @@ def _interreduce(term_lists, key):
             minimal.append(t)
     for i in range(len(minimal)):
         others = minimal[:i] + minimal[i + 1 :]
-        minimal[i] = _reduce_full(minimal[i], _make_reducers(others), key)
+        minimal[i] = _reduce_full(minimal[i], _make_reducers(others))
     return minimal
 
 
@@ -318,15 +380,7 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     """
     ring = ideal.ring
     order = ring.order
-    raw_key = order.sort_key
-    key_cache: dict = {}
-
-    def key(m):
-        k = key_cache.get(m)
-        if k is None:
-            key_cache[m] = k = raw_key(m)
-        return k
-
+    key = order.sort_key
     inputs = [_primitive_terms(g, key) for g in ideal.generators]
     inputs.sort(key=lambda t: (t[0][0], t))
 
@@ -352,10 +406,14 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         reducers.insert(at, (lt_new, terms[0][2], terms, masks[new]))
         reducer_keys.insert(at, kn)
 
-        # chain criterion over queued pairs
+        # chain criterion over queued pairs; lt_new divides no lcm whose
+        # support misses one of its variables
+        mnew = masks[new]
         for pair in list(pending):
-            l = pending[pair]
             i, j = pair
+            if mnew & ~(masks[i] | masks[j]):
+                continue
+            l = pending[pair]
             if (
                 _monomial_divides(lt_new, l)
                 and lcm_m(lts[i], lt_new) != l
@@ -364,10 +422,14 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
                 del pending[pair]
 
         cand = {g: lcm_m(lts[g], lt_new) for g in range(new)}
+        lmasks = {g: masks[g] | mnew for g in cand}
         kept = []
         for g, l in cand.items():
+            lmask = lmasks[g]
             drop = False
             for g2, l2 in cand.items():
+                if lmasks[g2] & ~lmask:
+                    continue
                 if l2 != l and _monomial_divides(l2, l):
                     drop = True
                     break
@@ -387,7 +449,7 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
             heappush(heap, (sum(l), key(l), rep, new))
 
     for t in inputs:
-        r = _reduce_full(t, reducers, key)
+        r = _reduce_full(t, reducers)
         if r:
             add_poly(r)
 
@@ -399,11 +461,11 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         s = _spair_terms(basis[i], basis[j], key)
         if not s:
             continue
-        r = _reduce_full(s, reducers, key)
+        r = _reduce_full(s, reducers)
         if r:
             add_poly(r)
 
-    reduced = _interreduce(basis, key)
+    reduced = _interreduce(basis)
     out = []
     for t in reduced:
         lc = t[0][2]
@@ -443,7 +505,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     if not reducers or not f.terms:
         return f
     p, denom = _int_terms(f, key)
-    rem, scale = _divide(p, reducers, key)
+    rem, scale = _divide(p, reducers)
     scale *= denom
     return Polynomial._raw(ring, tuple((m, Fraction(c, scale)) for _, m, c in rem))
 

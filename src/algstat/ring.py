@@ -85,20 +85,23 @@ class MonomialOrder:
         return self.kind
 
     def sort_key(self, exps: Monomial):
-        """A tuple that sorts ascending in this order (bigger key = bigger monomial)."""
+        """A flat tuple of ints that sorts ascending in this order (bigger key = bigger monomial).
+
+        grevlex: ``(deg, -e_n, ..., -e_1)``; lex: the exponents; block(k):
+        the grevlex key of the first k exponents followed by that of the
+        rest.  Every entry is linear in the exponents, so the key is
+        additive: ``sort_key(a + b)`` is the entrywise sum of ``sort_key(a)``
+        and ``sort_key(b)``.  The Groebner kernel relies on this to move the
+        keys of a multiplied polynomial instead of recomputing them.
+        """
         kind = self.kind
         if kind == "grevlex":
-            return (sum(exps), tuple(map(neg, reversed(exps))))
+            return (sum(exps), *map(neg, reversed(exps)))
         if kind == "lex":
             return exps
         k = self.block_size
         head, tail = exps[:k], exps[k:]
-        return (
-            sum(head),
-            tuple(map(neg, reversed(head))),
-            sum(tail),
-            tuple(map(neg, reversed(tail))),
-        )
+        return (sum(head), *map(neg, reversed(head)), sum(tail), *map(neg, reversed(tail)))
 
     def compare(self, a: Monomial, b: Monomial) -> int:
         """-1, 0, or 1 as a <, =, > b.  Vectors must have equal length."""

@@ -39,6 +39,7 @@ from algstat import (
     saturate,
     saturate_by_product,
 )
+from algstat.groebner import _divide, _divisors, _int_terms
 
 
 def _ring(names, order=GREVLEX):
@@ -139,6 +140,55 @@ def test_normal_form_matches_division_oracle():
             ]
             f = _random_fraction_poly(r, rng, rng.randint(1, 6), 4)
             assert normal_form(f, divisors).terms == _oracle_remainder(f, divisors, order)
+
+
+def _random_int_divisor(ring, rng, nterms):
+    """An integer polynomial whose leading coefficient is in +-2..9."""
+    g = ring.poly(
+        [
+            (tuple(rng.randint(0, 2) for _ in range(ring.nvars)), rng.randint(-9, 9))
+            for _ in range(nterms)
+        ]
+    )
+    if not g.terms:
+        return g
+    lc = rng.choice([-1, 1]) * rng.randint(2, 9)
+    return g * (lc / g.leading_coefficient())
+
+
+def test_normal_form_matches_division_oracle_on_long_inputs():
+    # Dividends of 20-80 terms start the kernel's accumulator with two or
+    # more buckets, and leading coefficients other than +-1 make it
+    # rescale them.
+    rng = random.Random(71)
+    orders = [LEX, GREVLEX, MonomialOrder.block(1), MonomialOrder.block(2)]
+    rescaled = 0
+    for _ in range(8):
+        for order in orders:
+            r = _ring(tuple(f"x_{k}" for k in range(3)), order)
+            divisors = [
+                _random_int_divisor(r, rng, rng.randint(2, 8)) for _ in range(rng.randint(2, 4))
+            ]
+            f = _random_fraction_poly(r, rng, rng.randint(20, 80), 5)
+            assert len(f.terms) >= 20
+            reducers = _divisors(divisors, order.sort_key)
+            p = _int_terms(f, order.sort_key)[0]
+            rescaled += _divide(p, reducers)[1] > 1
+            assert normal_form(f, divisors).terms == _oracle_remainder(f, divisors, order)
+    assert rescaled >= 16
+
+
+def test_normal_form_skips_bucket_heads_that_cancel():
+    # The 7-term dividend starts in the second bucket; reducing x*y^4 by
+    # x - y puts y^5 in the first, and the two heads at y^5 cancel (or add).
+    r = _ring(("x", "y"))
+    x, y = r.gens()
+    g = x - y
+    tail = y**4 + y**3 + y**2 + y + 1
+    for c in (-1, 2):
+        f = x * y**4 + c * y**5 + tail
+        assert normal_form(f, [g]) == (c + 1) * y**5 + tail
+        assert normal_form(f, [g]).terms == _oracle_remainder(f, [g], GREVLEX)
 
 
 def test_normal_form_by_groebner_basis_matches_its_list():

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algstat import (
     GREVLEX,
@@ -99,6 +101,21 @@ def test_sort_key_agrees_with_compare():
             ka, kb = order.sort_key(a), order.sort_key(b)
             assert (ka > kb) == (c > 0)
             assert (ka == kb) == (c == 0)
+
+
+_ORDERS = [LEX, GREVLEX, MonomialOrder.block(1), MonomialOrder.block(2)]
+_EXPONENTS = st.tuples(*[st.integers(0, 6)] * 4)
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=lambda o: o.name)
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(a=_EXPONENTS, b=_EXPONENTS)
+def test_flat_sort_key_is_additive_and_orders_like_compare(order, a, b):
+    ka, kb = order.sort_key(a), order.sort_key(b)
+    assert all(type(x) is int for x in ka)
+    assert order.sort_key(tuple(map(add, a, b))) == tuple(map(add, ka, kb))
+    c = _textbook_compare(order, a, b)
+    assert (ka > kb) - (ka < kb) == c == order.compare(a, b)
 
 
 def test_compare_rejects_unequal_lengths():
