@@ -4,14 +4,24 @@ The engine is Buchberger's algorithm with normal-pair selection (a
 degree-ordered queue) and the standard pair filters (product and chain
 criteria, applied Gebauer-Moeller style).  Every reduction, the public
 `normal_form` included, runs in one fraction-free kernel over integer
-terms keyed by the order's sort key; `normal_form` divides the kernel's
-remainder by the scale it accumulated.  The kernel keeps the part of the
-dividend still to be reduced in a geobucket (Yan, 1998), so a reduction
-step merges the reducer multiple into a short list instead of rebuilding
-the whole remainder, and sort keys are additive, so a shifted term's key
-is a sum instead of a fresh key.  The reduced basis handed back is monic
-over Q, sorted ascending by leading term, and therefore canonical for
-the ideal and order.
+terms; `normal_form` divides the kernel's remainder by the scale it
+accumulated.  The kernel keeps the part of the dividend still to be
+reduced in a geobucket (Yan, 1998), so a reduction step merges the
+reducer multiple into a short list instead of rebuilding the whole
+remainder.
+
+A kernel term is (key, exponents, coefficient) with the first two packed
+into one int each (Monagan and Pearce, "Sparse polynomial division using
+a heap", 2011).  Each exponent has a 64-bit field whose top bit is a
+borrow guard, so a monomial product is one addition and a divisibility
+test one subtraction and one mask, and a leading exponent above
+ring.MAX_EXPONENT sets a guard bit and raises GuardrailError.  The key
+int is the order's sort key in mixed radix; sort keys are additive, so a
+shifted term's key is a sum too.  Terms are packed where polynomials
+enter the kernel and unpacked where bases and remainders leave it.
+
+The reduced basis handed back is monic over Q, sorted ascending by
+leading term, and therefore canonical for the ideal and order.
 
 Also here: elimination via block orders, saturation and intersection
 by the auxiliary-variable trick (t*f - 1), minors of polynomial
@@ -22,19 +32,22 @@ any variable names.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
+import struct
 from bisect import bisect_left
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm, prod
-from operator import add, le, sub
+from operator import mul
 
 from .errors import GuardrailError, ParseError
 from .exactmath import IntMatrix
 from .ring import (
     GREVLEX,
     LEX,
+    MAX_EXPONENT,
     MonomialOrder,
     PolyRing,
     Polynomial,
@@ -124,10 +137,61 @@ class GroebnerBasis:
 
 # ---------------------------------------------------------------------------
 # fraction-free engine internals: polynomials as descending lists of
-# (sort key, exponent tuple, int coefficient), primitive with positive
-# lead.  Keys ride along so the merge loops compare plain tuples
-# instead of re-deriving the order from exponents each time; keys are
-# additive, so multiplying by a monomial adds its key to each of them.
+# (key, exponents, int coefficient), primitive with positive lead.  Both
+# key and exponents are packed ints (see _Packing), so the merge loops
+# compare ints, multiplying by a monomial adds two ints to each term and
+# a divisibility test is one subtraction and one mask.
+
+_FIELD = 64  # bits per packed exponent; the top one is its field's guard
+
+
+class _Packing:
+    """Packed monomials for one order on n variables.
+
+    exps(m) packs the exponent vector m into one int, exponent i in bits
+    64*i .. 64*i + 63.  Every exponent up to ring.MAX_EXPONENT leaves the
+    field's top bit clear; that bit is the borrow guard, and ``guard`` has
+    all of them set.  So lt divides lm exactly when ``(lm - lt) & guard``
+    is 0: the lowest field where lt's exponent is larger borrows and sets
+    its guard bit.  A product of two in-range monomials fills a field to
+    at most 2**64 - 2, so it never carries into the next field, and its
+    guard bit tells that an exponent left the range.
+
+    key(m) is ``order.sort_key(m)`` packed in mixed radix, the first entry
+    most significant.  Each entry of a sort key is linear in the
+    exponents, so key(m) is the dot product of m with ``weights``, the
+    packed keys of the unit vectors, and key ints add as sort keys do.
+    The radix exceeds every difference of two key entries of exponents
+    below 2**64, so key ints compare exactly as the sort-key tuples do.
+    """
+
+    __slots__ = ("guard", "weights", "_struct")
+
+    def __init__(self, order: MonomialOrder, n: int):
+        self.guard = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(n))
+        self._struct = struct.Struct(f"<{n}Q")
+        units = [order.sort_key(tuple(int(i == j) for j in range(n))) for i in range(n)]
+        width = len(units[0]) if units else 0
+        span = max((sum(abs(u[j]) for u in units) for j in range(width)), default=0)
+        radix = 1 << (_FIELD + span.bit_length())
+        self.weights = tuple(
+            sum(d * radix ** (width - 1 - j) for j, d in enumerate(u)) for u in units
+        )
+
+    def exps(self, m) -> int:
+        return int.from_bytes(self._struct.pack(*m), "little")
+
+    def key(self, m) -> int:
+        return sum(map(mul, m, self.weights))
+
+    def unpack(self, packed: int):
+        """The exponent tuple of a packed monomial."""
+        return self._struct.unpack(packed.to_bytes(self._struct.size, "little"))
+
+
+@functools.lru_cache(maxsize=64)
+def _packing(order: MonomialOrder, n: int) -> _Packing:
+    return _Packing(order, n)
 
 
 def _mask(m) -> int:
@@ -153,24 +217,22 @@ def _normalize_content(terms):
     return terms
 
 
-def _int_terms(poly: Polynomial, key):
-    """Keyed terms of poly times the lcm of its denominators, and that lcm."""
+def _int_terms(poly: Polynomial, pack: _Packing):
+    """Packed terms of poly times the lcm of its denominators, and that lcm."""
     d = lcm(*(c.denominator for _, c in poly.terms))
-    return [(key(m), m, c.numerator * (d // c.denominator)) for m, c in poly.terms], d
+    key, exps = pack.key, pack.exps
+    return [(key(m), exps(m), c.numerator * (d // c.denominator)) for m, c in poly.terms], d
 
 
-def _primitive_terms(poly: Polynomial, key):
-    return _normalize_content(_int_terms(poly, key)[0])
+def _primitive_terms(poly: Polynomial, pack: _Packing):
+    return _normalize_content(_int_terms(poly, pack)[0])
 
 
 def _shifted(terms, shift, kshift):
-    """Multiply by the monomial ``shift`` whose sort key is ``kshift``.
-
-    Sort keys are additive, so each term's key moves by kshift.
-    """
-    if not any(shift):
+    """Multiply by the packed monomial ``shift`` whose key int is ``kshift``."""
+    if not shift:
         return list(terms)
-    return [(tuple(map(add, k, kshift)), tuple(map(add, m, shift)), c) for k, m, c in terms]
+    return [(k + kshift, m + shift, c) for k, m, c in terms]
 
 
 def _combine(f, a, g, b):
@@ -255,12 +317,15 @@ def _bucket_add(polys, heads, g, b):
         cap *= 4
 
 
-def _divide(p, reducers):
-    """Fraction-free full division of keyed term list p: the one reduction loop.
+def _divide(p, reducers, guard):
+    """Fraction-free full division of packed term list p: the one reduction loop.
 
-    reducers: list of (lt, lc, terms, mask), scanned first-match in list
-    order for each leading remaining term.  Returns (rem, scale) with
-    scale a positive integer and rem/scale the exact remainder of p.
+    reducers: list of (lt, lc, terms), scanned first-match in list order
+    for each leading remaining term; lt divides it when their difference
+    has no guard bit set (see _Packing).  Returns (rem, scale) with scale
+    a positive integer and rem/scale the exact remainder of p.  A leading
+    term with a guard bit set has an exponent above ring.MAX_EXPONENT,
+    which no Polynomial may hold, and raises GuardrailError.
 
     The part of p not yet reduced or moved to rem is kept in a geobucket
     (Yan, "The geobucket data structure for polynomials", 1998): the sum
@@ -305,14 +370,15 @@ def _divide(p, reducers):
             if not lc:
                 continue
             term = (lk, lm, lc)
-        mmask = _mask(lm)
-        for lt, ltc, gterms, gmask in reducers:
-            if not gmask & ~mmask and all(map(le, lt, lm)):
+        if lm & guard:
+            raise GuardrailError(f"an exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+        for lt, ltc, gterms in reducers:
+            shift = lm - lt
+            if not shift & guard:
                 break
         else:
             rem.append(term)
             continue
-        shift = tuple(map(sub, lm, lt))
         g0 = gcd(lc, ltc)
         a = ltc // g0
         b = lc // g0
@@ -324,32 +390,35 @@ def _divide(p, reducers):
                 rem = [(kk, m, c * a) for kk, m, c in rem]
             polys = [[(kk, m, c * a) for kk, m, c in t[h:]] for t, h in zip(polys, heads)]
             heads = [0] * len(polys)
-        kshift = tuple(map(sub, lk, gterms[0][0]))
-        _bucket_add(polys, heads, _shifted(gterms[1:], shift, kshift), -b)
+        _bucket_add(polys, heads, _shifted(gterms[1:], shift, lk - gterms[0][0]), -b)
     return rem, scale
 
 
-def _reduce_full(p, reducers):
+def _reduce_full(p, reducers, guard):
     """Primitive full normal form of p: a nonzero rational multiple of the remainder."""
-    return _normalize_content(_divide(p, reducers)[0])
+    return _normalize_content(_divide(p, reducers, guard)[0])
 
 
 def _make_reducers(term_lists):
-    """Kernel reducers for nonzero keyed term lists, in list order."""
-    return [(t[0][1], t[0][2], t, _mask(t[0][1])) for t in term_lists if t]
+    """Kernel reducers for nonzero packed term lists, in list order."""
+    return [(t[0][1], t[0][2], t) for t in term_lists if t]
 
 
-def _divisors(polys, key):
-    return _make_reducers([_primitive_terms(g, key) for g in polys])
+def _divisors(polys, pack: _Packing):
+    return _make_reducers([_primitive_terms(g, pack) for g in polys])
 
 
-def _spair_terms(f, g, key):
-    (_, lf, cf), (_, lg, cg) = f[0], g[0]
-    lcm_m = tuple(max(a, b) for a, b in zip(lf, lg))
-    sf = tuple(a - b for a, b in zip(lcm_m, lf))
-    sg = tuple(a - b for a, b in zip(lcm_m, lg))
+def _spair_terms(f, g, lcm_exps, lcm_key):
+    """Fraction-free S-polynomial of f and g; their leading monomials' lcm
+    is lcm_exps packed, with key int lcm_key."""
+    (kf, lf, cf), (kg, lg, cg) = f[0], g[0]
     g0 = gcd(cf, cg)
-    return _combine(_shifted(f, sf, key(sf)), cg // g0, _shifted(g, sg, key(sg)), -(cf // g0))
+    return _combine(
+        _shifted(f, lcm_exps - lf, lcm_key - kf),
+        cg // g0,
+        _shifted(g, lcm_exps - lg, lcm_key - kg),
+        -(cf // g0),
+    )
 
 
 def _monomial_divides(a, b) -> bool:
@@ -359,17 +428,17 @@ def _monomial_divides(a, b) -> bool:
     return True
 
 
-def _interreduce(term_lists):
+def _interreduce(term_lists, guard):
     """Minimalize, then tail-reduce once (the leading terms are final); canonical lists."""
     items = sorted((t for t in term_lists if t), key=lambda t: t[0][0])
     minimal = []
     for t in items:
         lt = t[0][1]
-        if not any(_monomial_divides(m[0][1], lt) for m in minimal):
+        if all((lt - m[0][1]) & guard for m in minimal):
             minimal.append(t)
     for i in range(len(minimal)):
         others = minimal[:i] + minimal[i + 1 :]
-        minimal[i] = _reduce_full(minimal[i], _make_reducers(others))
+        minimal[i] = _reduce_full(minimal[i], _make_reducers(others), guard)
     return minimal
 
 
@@ -380,14 +449,15 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     """
     ring = ideal.ring
     order = ring.order
-    key = order.sort_key
-    inputs = [_primitive_terms(g, key) for g in ideal.generators]
+    pack = _packing(order, ring.nvars)
+    guard = pack.guard
+    inputs = [_primitive_terms(g, pack) for g in ideal.generators]
     inputs.sort(key=lambda t: (t[0][0], t))
 
-    basis: list = []  # keyed term lists
-    lts: list = []  # leading monomials
+    basis: list = []  # packed term lists
+    lts: list = []  # leading monomials as exponent tuples
     masks: list = []
-    reducers: list = []  # (lt, lc, terms, mask) ascending by lt
+    reducers: list = []  # (lt, lc, terms) ascending by leading term
     reducer_keys: list = []
     pending: dict = {}  # (i, j) -> lcm monomial
     heap: list = []
@@ -397,13 +467,13 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
 
     def add_poly(terms):
         new = len(basis)
-        lt_new = terms[0][1]
+        lt_new = pack.unpack(terms[0][1])
         basis.append(terms)
         lts.append(lt_new)
         masks.append(_mask(lt_new))
         kn = terms[0][0]
         at = bisect_left(reducer_keys, kn)
-        reducers.insert(at, (lt_new, terms[0][2], terms, masks[new]))
+        reducers.insert(at, (terms[0][1], terms[0][2], terms))
         reducer_keys.insert(at, kn)
 
         # chain criterion over queued pairs; lt_new divides no lcm whose
@@ -446,31 +516,32 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
                 continue
             rep = min(members)
             pending[(rep, new)] = l
-            heappush(heap, (sum(l), key(l), rep, new))
+            heappush(heap, (sum(l), pack.key(l), rep, new))
 
     for t in inputs:
-        r = _reduce_full(t, reducers)
+        r = _reduce_full(t, reducers, guard)
         if r:
             add_poly(r)
 
     while heap:
-        _, _, i, j = heappop(heap)
-        if (i, j) not in pending:
+        _, kl, i, j = heappop(heap)
+        l = pending.pop((i, j), None)
+        if l is None:
             continue
-        del pending[(i, j)]
-        s = _spair_terms(basis[i], basis[j], key)
+        s = _spair_terms(basis[i], basis[j], pack.exps(l), kl)
         if not s:
             continue
-        r = _reduce_full(s, reducers)
+        r = _reduce_full(s, reducers, guard)
         if r:
             add_poly(r)
 
-    reduced = _interreduce(basis)
+    reduced = _interreduce(basis, guard)
+    unpack = pack.unpack
     out = []
     for t in reduced:
         lc = t[0][2]
         out.append(
-            Polynomial._raw(ring, tuple((m, Fraction(c, lc)) for _, m, c in t))
+            Polynomial._raw(ring, tuple((unpack(m), Fraction(c, lc)) for _, m, c in t))
         )
     gb = GroebnerBasis(ideal, out, order)
     gb._reducers = _make_reducers(reduced)
@@ -490,24 +561,25 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     A GroebnerBasis is scanned in basis order.
     """
     ring = f.ring
-    key = ring.order.sort_key
+    pack = _packing(ring.order, ring.nvars)
     if isinstance(basis, GroebnerBasis):
         if basis.ideal.ring != ring:
             raise ValueError("Groebner basis lives in a different ring")
         if basis._reducers is None:
-            basis._reducers = _divisors(basis.basis, key)
+            basis._reducers = _divisors(basis.basis, pack)
         reducers = basis._reducers
     else:
         basis = list(basis)
         if any(g.ring != ring for g in basis):
             raise ValueError("divisor lives in a different ring")
-        reducers = _divisors(basis, key)
+        reducers = _divisors(basis, pack)
     if not reducers or not f.terms:
         return f
-    p, denom = _int_terms(f, key)
-    rem, scale = _divide(p, reducers)
+    p, denom = _int_terms(f, pack)
+    rem, scale = _divide(p, reducers, pack.guard)
     scale *= denom
-    return Polynomial._raw(ring, tuple((m, Fraction(c, scale)) for _, m, c in rem))
+    unpack = pack.unpack
+    return Polynomial._raw(ring, tuple((unpack(m), Fraction(c, scale)) for _, m, c in rem))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -91,8 +91,12 @@ class MonomialOrder:
         the grevlex key of the first k exponents followed by that of the
         rest.  Every entry is linear in the exponents, so the key is
         additive: ``sort_key(a + b)`` is the entrywise sum of ``sort_key(a)``
-        and ``sort_key(b)``.  The Groebner kernel relies on this to move the
-        keys of a multiplied polynomial instead of recomputing them.
+        and ``sort_key(b)``.  The Groebner kernel relies on this: it packs
+        the key into one int as the dot product of the exponents with the
+        packed keys of the unit vectors, and moves the keys of a multiplied
+        polynomial by one addition instead of recomputing them.  This
+        method is the one definition of each order; the kernel's ints
+        re-encode it.
         """
         kind = self.kind
         if kind == "grevlex":

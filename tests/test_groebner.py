@@ -39,7 +39,8 @@ from algstat import (
     saturate,
     saturate_by_product,
 )
-from algstat.groebner import _divide, _divisors, _int_terms
+from algstat.groebner import _divide, _divisors, _int_terms, _packing
+from algstat.ring import MAX_EXPONENT
 
 
 def _ring(names, order=GREVLEX):
@@ -171,9 +172,10 @@ def test_normal_form_matches_division_oracle_on_long_inputs():
             ]
             f = _random_fraction_poly(r, rng, rng.randint(20, 80), 5)
             assert len(f.terms) >= 20
-            reducers = _divisors(divisors, order.sort_key)
-            p = _int_terms(f, order.sort_key)[0]
-            rescaled += _divide(p, reducers)[1] > 1
+            pack = _packing(order, r.nvars)
+            reducers = _divisors(divisors, pack)
+            p = _int_terms(f, pack)[0]
+            rescaled += _divide(p, reducers, pack.guard)[1] > 1
             assert normal_form(f, divisors).terms == _oracle_remainder(f, divisors, order)
     assert rescaled >= 16
 
@@ -189,6 +191,20 @@ def test_normal_form_skips_bucket_heads_that_cancel():
         f = x * y**4 + c * y**5 + tail
         assert normal_form(f, [g]) == (c + 1) * y**5 + tail
         assert normal_form(f, [g]).terms == _oracle_remainder(f, [g], GREVLEX)
+
+
+def test_exponent_overflow_trips_the_guardrail():
+    # y^2 -> y*x^MAX -> x^(2*MAX): the exponent leaves the range that
+    # ring.poly accepts, so the kernel stops instead of returning it.
+    r = _ring(("y", "x", "z"), LEX)
+    y, x, z = r.gens()
+    with pytest.raises(GuardrailError):
+        normal_form(y**2 - 1, [y - x**MAX_EXPONENT])
+    with pytest.raises(GuardrailError):
+        Ideal(r, [y**2 - 1, y - x**MAX_EXPONENT]).groebner()
+    # exponents that stay in range, next to the guard bit, still reduce
+    assert normal_form(y * z - 1, [y - x**MAX_EXPONENT]) == x**MAX_EXPONENT * z - 1
+    assert normal_form(x**MAX_EXPONENT * z, [x**MAX_EXPONENT - z]) == z**2
 
 
 def test_normal_form_by_groebner_basis_matches_its_list():

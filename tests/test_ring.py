@@ -17,6 +17,8 @@ from algstat import (
     parse_polynomial,
     print_polynomial,
 )
+from algstat.groebner import _monomial_divides, _packing
+from algstat.ring import MAX_EXPONENT
 
 
 def _random_poly(ring, rng, nterms=4, maxdeg=3):
@@ -104,7 +106,9 @@ def test_sort_key_agrees_with_compare():
 
 
 _ORDERS = [LEX, GREVLEX, MonomialOrder.block(1), MonomialOrder.block(2)]
-_EXPONENTS = st.tuples(*[st.integers(0, 6)] * 4)
+_EXPONENTS = st.tuples(
+    *[st.one_of(st.integers(0, 6), st.integers(MAX_EXPONENT - 2, MAX_EXPONENT))] * 4
+)
 
 
 @pytest.mark.parametrize("order", _ORDERS, ids=lambda o: o.name)
@@ -116,6 +120,22 @@ def test_flat_sort_key_is_additive_and_orders_like_compare(order, a, b):
     assert order.sort_key(tuple(map(add, a, b))) == tuple(map(add, ka, kb))
     c = _textbook_compare(order, a, b)
     assert (ka > kb) - (ka < kb) == c == order.compare(a, b)
+    # the kernel's packed ints: exponents round-trip and add without carry
+    # (a + b fills a field up to 2**64 - 2), key ints add and order like
+    # sort keys, also past MAX_EXPONENT, and a guard-free difference means
+    # divisibility
+    pack = _packing(order, 4)
+    pa, pb, s = pack.exps(a), pack.exps(b), tuple(map(add, a, b))
+    assert pack.unpack(pa) == a
+    assert pack.exps(s) == pa + pb and pack.unpack(pa + pb) == s
+    assert pack.key(s) == pack.key(a) + pack.key(b)
+    assert (pack.key(a) > pack.key(b)) - (pack.key(a) < pack.key(b)) == c
+    t = tuple(map(add, b, b))
+    ks, kt = order.sort_key(s), order.sort_key(t)
+    assert (pack.key(s) > pack.key(t)) == (ks > kt)
+    assert (pack.key(s) == pack.key(t)) == (ks == kt)
+    assert (not (pb - pa) & pack.guard) == _monomial_divides(a, b)
+    assert (not (pa - pb) & pack.guard) == _monomial_divides(b, a)
 
 
 def test_compare_rejects_unequal_lengths():
