@@ -23,6 +23,14 @@ enter the kernel and unpacked where bases and remainders leave it.
 The reduced basis handed back is monic over Q, sorted ascending by
 leading term, and therefore canonical for the ideal and order.
 
+A known basis is not computed twice.  An elimination under grevlex
+returns its reduced basis as the result's cached basis, and a
+saturation of a grevlex ideal whose basis G is cached runs Buchberger on
+G + (t*f - 1) without forming S-pairs within G (Gebauer and Moeller,
+1988).  That is exact because block(1) restricted to t-free monomials is
+grevlex: G stays a Groebner basis after t is added, so each pair within
+it has a standard representation.  The result is the same reduced basis.
+
 Also here: elimination via block orders, saturation and intersection
 by the auxiliary-variable trick (t*f - 1), minors of polynomial
 matrices, and the standard-monomial counting used to read off fiber
@@ -85,7 +93,7 @@ STANDARD_MONOMIAL_CAP = 1_000_000
 class Ideal:
     """A finitely generated ideal: a ring plus a tuple of nonzero generators."""
 
-    __slots__ = ("ring", "generators", "_gb")
+    __slots__ = ("ring", "generators", "_gb", "_known")
 
     def __init__(self, ring: PolyRing, generators):
         gens = []
@@ -99,6 +107,9 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb = None
+        # the first _known generators are a Groebner basis in the ring's
+        # order; buchberger forms no S-pairs among them
+        self._known = 0
 
     def groebner(self) -> "GroebnerBasis":
         """The reduced Groebner basis in the ideal's ring order (cached)."""
@@ -112,15 +123,28 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis: monic elements, ascending leading terms."""
+    """A reduced Groebner basis: monic elements, ascending leading terms.
 
-    __slots__ = ("ideal", "basis", "order", "_reducers")
+    It keeps the ideal's ring and generators rather than the Ideal, whose
+    cache holds the basis, so a basis and its ideal form no reference
+    cycle and are freed as soon as the last reference goes.
+    """
+
+    __slots__ = ("ring", "generators", "basis", "order", "_reducers")
 
     def __init__(self, ideal: Ideal, basis, order: MonomialOrder):
-        self.ideal = ideal
+        self.ring = ideal.ring
+        self.generators = ideal.generators
         self.basis = tuple(basis)
         self.order = order
         self._reducers = None  # the basis as kernel reducers, made on first use
+
+    @property
+    def ideal(self) -> Ideal:
+        """The ideal this basis generates, given by its generators, with this basis cached."""
+        ideal = Ideal(self.ring, self.generators)
+        ideal._gb = self
+        return ideal
 
     def __iter__(self):
         return iter(self.basis)
@@ -446,12 +470,21 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal in its ring's order.
 
     Deterministic and canonical: independent of generator order.
+
+    When the ideal's leading generators are known to be a Groebner basis
+    already (``saturate`` marks them so), they are registered as
+    reducers without forming S-pairs among them: each such pair has a
+    standard representation over them, so it counts as treated, and the
+    Gebauer-Moeller criteria need no more (Gebauer and Moeller, "On an
+    installation of Buchberger's algorithm", 1988).  Only pairs that
+    involve the other generators and what they add are formed.
     """
     ring = ideal.ring
     order = ring.order
     pack = _packing(order, ring.nvars)
     guard = pack.guard
-    inputs = [_primitive_terms(g, pack) for g in ideal.generators]
+    known = ideal._known
+    inputs = [_primitive_terms(g, pack) for g in ideal.generators[known:]]
     inputs.sort(key=lambda t: (t[0][0], t))
 
     basis: list = []  # packed term lists
@@ -465,7 +498,7 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     def lcm_m(a, b):
         return tuple(max(x, y) for x, y in zip(a, b))
 
-    def add_poly(terms):
+    def add_poly(terms, pairs=True):
         new = len(basis)
         lt_new = pack.unpack(terms[0][1])
         basis.append(terms)
@@ -475,6 +508,8 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         at = bisect_left(reducer_keys, kn)
         reducers.insert(at, (terms[0][1], terms[0][2], terms))
         reducer_keys.insert(at, kn)
+        if not pairs:
+            return
 
         # chain criterion over queued pairs; lt_new divides no lcm whose
         # support misses one of its variables
@@ -518,6 +553,8 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
             pending[(rep, new)] = l
             heappush(heap, (sum(l), pack.key(l), rep, new))
 
+    for g in ideal.generators[:known]:
+        add_poly(_primitive_terms(g, pack), pairs=False)
     for t in inputs:
         r = _reduce_full(t, reducers, guard)
         if r:
@@ -563,7 +600,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     ring = f.ring
     pack = _packing(ring.order, ring.nvars)
     if isinstance(basis, GroebnerBasis):
-        if basis.ideal.ring != ring:
+        if basis.ring != ring:
             raise ValueError("Groebner basis lives in a different ring")
         if basis._reducers is None:
             basis._reducers = _divisors(basis.basis, pack)
@@ -630,7 +667,11 @@ def eliminate(ideal: Ideal, k: int) -> Ideal:
     on the remaining variables.  Its generators always generate the
     elimination ideal, but they form that ring's reduced basis only when
     its order is grevlex, as when the input ring is grevlex or
-    block(k).  Under lex, say, they need not be monic or reduced.
+    block(k).  Under lex, say, they need not be monic or reduced.  When
+    they are that basis, the result carries it as its cached Groebner
+    basis, so its ``groebner()`` costs nothing and a later ``saturate``
+    can start from it.  An input already in the block(k) ring is used
+    as it stands, with any cached basis or known generators it has.
     """
     ring = ideal.ring
     n = ring.nvars
@@ -639,17 +680,22 @@ def eliminate(ideal: Ideal, k: int) -> Ideal:
     if k == 0:
         return ideal
     block_ring = PolyRing(ring.variables, MonomialOrder.block(k))
-    gb = Ideal(block_ring, [map_to_ring(g, block_ring) for g in ideal.generators]).groebner()
+    if ring != block_ring:
+        ideal = Ideal(block_ring, [map_to_ring(g, block_ring) for g in ideal.generators])
+    gb = ideal.groebner()
     zeros = (0,) * k
     sub = PolyRing(ring.variables[k:], _restrict_order(ring.order, range(k, n)))
     gens = []
     for g in gb.basis:
         if all(m[:k] == zeros for m, _ in g.terms):
             gens.append(sub.poly([(m[k:], c) for m, c in g.terms]))
-    return Ideal(sub, gens)
+    out = Ideal(sub, gens)
+    if sub.order == GREVLEX:
+        out._gb = GroebnerBasis(out, gens, GREVLEX)
+    return out
 
 
-def _eliminate_auxiliary(ring: PolyRing, k: int, build) -> Ideal:
+def _eliminate_auxiliary(ring: PolyRing, k: int, build, known=()) -> Ideal:
     """Add k auxiliary variables to ring, build an ideal, eliminate them again.
 
     The auxiliary variables are named t_0..t_{k-1}, or t1_0.., t2_0..,
@@ -658,6 +704,11 @@ def _eliminate_auxiliary(ring: PolyRing, k: int, build) -> Ideal:
     build(aux, variables), given the extension ring's generators in
     those two groups, returns the generators of the ideal there.  The
     elimination ideal is returned in ``ring``.
+
+    ``known``, if given, is a grevlex Groebner basis in ``ring``; it joins
+    the built generators as a basis that ``buchberger`` does not pair
+    with itself.  block(k) restricted to monomials free of the auxiliary
+    variables is grevlex, so it is still a Groebner basis there.
     """
     taken = set(ring.variables)
     for i in itertools.count():
@@ -666,7 +717,9 @@ def _eliminate_auxiliary(ring: PolyRing, k: int, build) -> Ideal:
             break
     ext = PolyRing(names + ring.variables, MonomialOrder.block(k))
     gens = ext.gens()
-    elim = eliminate(Ideal(ext, build(gens[:k], gens[k:])), k)
+    ideal = Ideal(ext, [map_to_ring(g, ext) for g in known] + build(gens[:k], gens[k:]))
+    ideal._known = len(known)
+    elim = eliminate(ideal, k)
     if elim.ring == ring:
         return elim
     return Ideal(ring, [map_to_ring(g, ring) for g in elim.generators])
@@ -675,21 +728,29 @@ def _eliminate_auxiliary(ring: PolyRing, k: int, build) -> Ideal:
 def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     """The saturation I : f^infinity: eliminate t from I + (t*f - 1).
 
-    t is a fresh auxiliary variable, so the ring may use any names.
+    t is a fresh auxiliary variable, so the ring may use any names.  When
+    the ring is grevlex and I's reduced basis G is already known (I came
+    from ``eliminate`` or ``groebner()`` was called on it), the ideal is
+    G + (t*f - 1) and Buchberger forms no S-pair within G.  This is exact:
+    block(1) restricted to t-free monomials is grevlex, so G stays a
+    Groebner basis of I*Q[t, x], and every pair within G has a standard
+    representation over it.  Under any other order G would not be a
+    basis for block(1), and I is saturated from its generators.  The
+    result is the same reduced basis either way.
     """
     ring = ideal.ring
     if f.ring != ring:
         raise ValueError("polynomial lives in a different ring")
     if not f.terms:
         raise ValueError("cannot saturate by the zero polynomial")
+    known = ideal._gb.basis if ideal._gb is not None and ring.order == GREVLEX else ()
 
     def build(aux, _):
         t = aux[0]
-        return [map_to_ring(g, t.ring) for g in ideal.generators] + [
-            t * map_to_ring(f, t.ring) - 1
-        ]
+        rest = () if known else ideal.generators
+        return [map_to_ring(g, t.ring) for g in rest] + [t * map_to_ring(f, t.ring) - 1]
 
-    return _eliminate_auxiliary(ring, 1, build)
+    return _eliminate_auxiliary(ring, 1, build, known)
 
 
 def saturate_by_product(ideal: Ideal, factors) -> Ideal:
@@ -734,7 +795,7 @@ def krull_dimension(gb: GroebnerBasis) -> int:
     yields -1 (empty spectrum).
     """
     basis = list(gb.basis)
-    n = gb.ideal.ring.nvars
+    n = gb.ring.nvars
     if any(g.is_constant() for g in basis):
         return -1
     supports = {
@@ -857,7 +918,7 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     lts = gb.leading_monomials()
     if any(sum(m) == 0 for m in lts):
         return True  # unit ideal: empty variety
-    n = gb.ideal.ring.nvars
+    n = gb.ring.nvars
     for i in range(n):
         if not any(m[i] > 0 and all(e == 0 for j, e in enumerate(m) if j != i) for m in lts):
             return False
@@ -871,7 +932,7 @@ def quotient_dimension(gb: GroebnerBasis) -> int:
     lts = list(gb.leading_monomials())
     if any(sum(m) == 0 for m in lts):
         return 0
-    n = gb.ideal.ring.nvars
+    n = gb.ring.nvars
     bounds = []
     for i in range(n):
         bounds.append(

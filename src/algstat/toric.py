@@ -122,6 +122,7 @@ def toric_ideal(source, ring: PolyRing | None = None) -> Ideal:
     if kernel.nrows == 0:
         return Ideal(ring, ())
     lattice = Ideal(ring, [_binomial_from_kernel_row(ring, r) for r in kernel.entries])
+    lattice.groebner()  # the containment check needs it; the saturation starts from it
     sat = saturate_by_product(lattice, ring.gens())
     if all(ideal_contains(lattice, g) for g in sat.generators):
         sat = lattice

@@ -1,6 +1,8 @@
 """Tests for Groebner bases, ideal operations, and the ideal file format."""
 
+import gc
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
 
@@ -39,6 +41,7 @@ from algstat import (
     saturate,
     saturate_by_product,
 )
+import algstat.groebner
 from algstat.groebner import _divide, _divisors, _int_terms, _packing
 from algstat.ring import MAX_EXPONENT
 
@@ -412,6 +415,8 @@ def test_eliminate_restricts_the_ring_order():
         r = _ring(names, order)
         out = eliminate(_ideal(r, "x - a*b", "y - c"), k)
         assert out.ring == _ring(names[k:], expected)
+        # only a grevlex result is the reduced basis, and only it is cached
+        assert (out._gb is not None) == (expected == GREVLEX)
 
 
 # -------------------------------------------------------------- saturation
@@ -528,6 +533,113 @@ def test_saturation_is_idempotent_on_random_ideals():
         once = saturate_by_product(i, list(r.gens()))
         twice = saturate_by_product(once, list(r.gens()))
         assert ideal_equal(once, twice)
+
+
+# ------------------------------------------------------------ known bases
+
+
+@contextmanager
+def _known_counts():
+    """Record how many generators each buchberger call took as a known basis."""
+    seen = []
+    original = algstat.groebner.buchberger
+
+    def spy(ideal):
+        seen.append(ideal._known)
+        return original(ideal)
+
+    algstat.groebner.buchberger = spy
+    try:
+        yield seen
+    finally:
+        algstat.groebner.buchberger = original
+
+
+@st.composite
+def _grevlex_ideal_and_multiplier(draw):
+    """A small nonzero ideal in a grevlex ring, plus a polynomial to saturate by."""
+    n = draw(st.integers(2, 3))
+    r = _ring(tuple(f"x_{k}" for k in range(n)))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * n), st.integers(-3, 3))
+    poly = st.lists(term, min_size=1, max_size=3).map(r.poly).filter(lambda g: bool(g.terms))
+    gens = draw(st.lists(poly, min_size=1, max_size=3))
+    f = draw(st.one_of(st.sampled_from(r.gens() + (r.sum_of_gens(),)), poly))
+    return Ideal(r, gens), f
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_grevlex_ideal_and_multiplier())
+def test_saturate_from_a_known_basis_matches_saturate_from_generators(case):
+    ideal, f = case
+    plain = saturate(Ideal(ideal.ring, ideal.generators), f)
+    gb = ideal.groebner()
+    with _known_counts() as seen:
+        seeded = saturate(ideal, f)
+    assert seen == [len(gb.basis)]
+    assert seeded.generators == plain.generators
+    # the saturation carries its basis, so the next one starts from it too
+    with _known_counts() as seen:
+        again = saturate(seeded, f)
+    assert seen == [len(seeded.generators)]
+    assert again.generators == saturate(Ideal(ideal.ring, seeded.generators), f).generators
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_grevlex_ideal_and_multiplier(), st.integers(1, 2))
+def test_eliminate_attaches_its_reduced_basis_under_grevlex(case, k):
+    ideal, _ = case
+    k = min(k, ideal.ring.nvars - 1)
+    out = eliminate(ideal, k)
+    assert out._gb is not None and out._gb.basis == out.generators
+    assert out._gb.basis == buchberger(Ideal(out.ring, out.generators)).basis
+    with _known_counts() as seen:
+        assert out.groebner() is out._gb
+    assert seen == []
+
+
+def test_saturate_ignores_a_basis_cached_under_another_order():
+    # a lex basis is no basis for block(1), whose t-free part is grevlex
+    r = _ring(("x", "y", "z"), LEX)
+    gens = ("x*y - z^2", "y^3 - x")
+    i = _ideal(r, *gens)
+    i.groebner()
+    z = parse_polynomial("z", r)
+    with _known_counts() as seen:
+        sat = saturate(i, z)
+    assert seen == [0]
+    assert ideal_equal(sat, saturate(_ideal(r, *gens), z))
+
+
+def test_groebner_basis_keeps_the_ideal_it_came_from():
+    r = _ring(("x", "y", "z"))
+    i = _ideal(r, "x^2 - 2*y*z", "3*x*y - z^2", "y^3 - x")
+    gb = i.groebner()
+    back = gb.ideal
+    assert back.ring == i.ring and back.generators == i.generators
+    assert back.groebner() is gb
+
+
+def test_groebner_basis_and_its_ideal_form_no_reference_cycle():
+    r = _ring(("x", "y", "z"))
+    enabled = gc.isenabled()
+    flags = gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        i = _ideal(r, "x^2 - 2*y*z", "3*x*y - z^2", "y^3 - x")
+        gb = i.groebner()
+        sat = saturate(i, parse_polynomial("z", r))  # eliminate caches a basis on it
+        del i, gb, sat
+        gc.collect()
+        left = [o for o in gc.garbage if isinstance(o, GroebnerBasis)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == []
 
 
 # -------------------------------------------------- intersect / dimension
