@@ -6,9 +6,11 @@ criteria, applied Gebauer-Moeller style).  Every reduction, the public
 `normal_form` included, runs in one fraction-free kernel over integer
 terms; `normal_form` divides the kernel's remainder by the scale it
 accumulated.  The kernel keeps the part of the dividend still to be
-reduced in a geobucket (Yan, 1998), so a reduction step merges the
-reducer multiple into a short list instead of rebuilding the whole
-remainder.
+reduced as lazily shifted reducer multiples merged in a heap (Johnson,
+"Sparse polynomial arithmetic", 1974; Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors",
+2007): a reduction step adds one stream to the heap, and each term of a
+reducer multiple is made once, when it becomes the leading term.
 
 A kernel term is (key, exponents, coefficient) with the first two packed
 into one int each (Monagan and Pearce, "Sparse polynomial division using
@@ -265,80 +267,24 @@ def _combine(f, a, g, b):
     append = out.append
     i = j = 0
     nf, ng = len(f), len(g)
-    if a == 1:
-        while i < nf and j < ng:
-            tf = f[i]
-            tg = g[j]
-            kf = tf[0]
-            kg = tg[0]
-            if kf > kg:
-                append(tf)
-                i += 1
-            elif kg > kf:
-                append((kg, tg[1], b * tg[2]))
-                j += 1
-            else:
-                v = tf[2] + b * tg[2]
-                if v:
-                    append((kf, tf[1], v))
-                i += 1
-                j += 1
-        if i < nf:
-            out.extend(f[i:])
-    else:
-        while i < nf and j < ng:
-            tf = f[i]
-            tg = g[j]
-            kf = tf[0]
-            kg = tg[0]
-            if kf > kg:
-                append((kf, tf[1], a * tf[2]))
-                i += 1
-            elif kg > kf:
-                append((kg, tg[1], b * tg[2]))
-                j += 1
-            else:
-                v = a * tf[2] + b * tg[2]
-                if v:
-                    append((kf, tf[1], v))
-                i += 1
-                j += 1
-        if i < nf:
-            out.extend((k, m, a * c) for k, m, c in f[i:])
-    if j < ng:
-        out.extend((k, m, b * c) for k, m, c in g[j:])
+    while i < nf and j < ng:
+        kf, mf, cf = f[i]
+        kg, mg, cg = g[j]
+        if kf > kg:
+            append((kf, mf, a * cf))
+            i += 1
+        elif kg > kf:
+            append((kg, mg, b * cg))
+            j += 1
+        else:
+            v = a * cf + b * cg
+            if v:
+                append((kf, mf, v))
+            i += 1
+            j += 1
+    out.extend((k, m, a * c) for k, m, c in f[i:])
+    out.extend((k, m, b * c) for k, m, c in g[j:])
     return out
-
-
-def _bucket_add(polys, heads, g, b):
-    """Add b*g to the geobucket (polys, heads), spilling full buckets upward.
-
-    Bucket i holds the descending keyed terms polys[i][heads[i]:], at
-    most 4**(i+1) of them.  g merges into the smallest bucket that could
-    hold it; a merge that overflows empties its bucket into the next.
-    """
-    i = 0
-    cap = 4
-    while len(g) > cap:
-        i += 1
-        cap *= 4
-    while True:
-        while i >= len(polys):
-            polys.append([])
-            heads.append(0)
-        t = polys[i]
-        h = heads[i]
-        if h < len(t) or b != 1:
-            g = _combine(t[h:] if h else t, 1, g, b)
-        b = 1
-        if len(g) <= cap:
-            polys[i] = g
-            heads[i] = 0
-            return
-        polys[i] = []
-        heads[i] = 0
-        i += 1
-        cap *= 4
 
 
 def _divide(p, reducers, guard):
@@ -351,49 +297,51 @@ def _divide(p, reducers, guard):
     term with a guard bit set has an exponent above ring.MAX_EXPONENT,
     which no Polynomial may hold, and raises GuardrailError.
 
-    The part of p not yet reduced or moved to rem is kept in a geobucket
-    (Yan, "The geobucket data structure for polynomials", 1998): the sum
-    of a few descending term lists of geometrically growing length.  Its
-    leading term is the largest bucket head, equal heads summed and
-    exact cancellations skipped, and a reducer multiple merges into a
-    small bucket instead of the whole remaining list.  The buckets sum
-    exactly (integer arithmetic) to the polynomial that one list, rebuilt
-    after every step, would hold.  So each step sees the same leading
-    term, picks the same reducer and the same scalars a, b, and rem and
-    scale are those of term-by-term division of one merged list.
+    The part of p not yet reduced or moved to rem is a sum of streams
+    merged lazily in a max-heap (Johnson, "Sparse polynomial arithmetic",
+    1974; Monagan and Pearce, "Polynomial division using dynamic arrays,
+    heaps, and packed exponent vectors", 2007).  A stream is p itself or
+    the tail of a reducer multiple: a term list read from a position,
+    shifted by a packed monomial and its key int, times one integer.  The
+    heap holds the negated key of each live stream's next term, and the
+    streams whose next term has that key are chained under it, so one
+    heap entry stands for every stream at a key.  The leading term sums
+    the chain at the top key and advances each of its streams; a sum that
+    cancels is skipped.  A reduction step starts one stream at the
+    reducer's second term, and rescaling by a multiplies each live
+    stream's coefficient, so each term of a reducer multiple is made
+    once, when it reaches the top.  The streams sum exactly (integer
+    arithmetic) to the polynomial that one list, rebuilt after every
+    step, would hold.  So each step sees the same leading term, picks the
+    same reducer and the same scalars a, b, and rem and scale are those
+    of term-by-term division of one merged list.
     """
     rem: list = []
     scale = 1
-    polys: list = []  # the geobucket: bucket i is polys[i][heads[i]:]
-    heads: list = []
-    _bucket_add(polys, heads, p, 1)
-    while True:
-        lk = None
-        for i, t in enumerate(polys):
-            h = heads[i]
-            if h < len(t):
-                k = t[h][0]
-                if lk is None or k > lk:
-                    lk = k
-                    top = i
-                    tie = False
-                elif k == lk:
-                    tie = True
-        if lk is None:
-            break
-        term = polys[top][heads[top]]
-        heads[top] += 1
-        lm = term[1]
-        lc = term[2]
-        if tie:
-            for i, t in enumerate(polys):
-                h = heads[i]
-                if h < len(t) and t[h][0] == lk:
-                    lc += t[h][2]
-                    heads[i] += 1
-            if not lc:
-                continue
-            term = (lk, lm, lc)
+    if not p:
+        return rem, scale
+    streams = [[p, 0, 0, 0, 1]]  # [terms, position, exponent shift, -key shift, coefficient]
+    heap = [-p[0][0]]  # negated keys, each once
+    chains = {heap[0]: [0]}  # negated key -> ids of the streams whose next term has it
+    while heap:
+        nk = heappop(heap)
+        lc = 0
+        for sid in chains.pop(nk):
+            s = streams[sid]
+            terms, i, ms, nks, c = s
+            t = terms[i]
+            lc += t[2] * c
+            i += 1
+            if i < len(terms):
+                s[1] = i
+                k = nks - terms[i][0]
+                chain = chains.setdefault(k, [])
+                if not chain:
+                    heappush(heap, k)
+                chain.append(sid)
+        if not lc:
+            continue
+        lm = t[1] + ms
         if lm & guard:
             raise GuardrailError(f"an exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
         for lt, ltc, gterms in reducers:
@@ -401,7 +349,8 @@ def _divide(p, reducers, guard):
             if not shift & guard:
                 break
         else:
-            rem.append(term)
+            # a term equal to its stream's own tuple is kept, not copied
+            rem.append(t if lc == t[2] and lm == t[1] else (-nk, lm, lc))
             continue
         g0 = gcd(lc, ltc)
         a = ltc // g0
@@ -412,9 +361,17 @@ def _divide(p, reducers, guard):
             scale *= a
             if rem:
                 rem = [(kk, m, c * a) for kk, m, c in rem]
-            polys = [[(kk, m, c * a) for kk, m, c in t[h:]] for t, h in zip(polys, heads)]
-            heads = [0] * len(polys)
-        _bucket_add(polys, heads, _shifted(gterms[1:], shift, lk - gterms[0][0]), -b)
+            for chain in chains.values():
+                for sid in chain:
+                    streams[sid][4] *= a
+        if len(gterms) > 1:
+            nks = gterms[0][0] + nk
+            k = nks - gterms[1][0]
+            chain = chains.setdefault(k, [])
+            if not chain:
+                heappush(heap, k)
+            chain.append(len(streams))
+            streams.append([gterms, 1, shift, nks, -b])
     return rem, scale
 
 

@@ -1,9 +1,13 @@
-"""End-to-end tests that drive the command line in process."""
+"""End-to-end tests that drive the command line, in process and in fresh interpreters."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import algstat
 import algstat.cli
 from algstat import (
     GuardrailError,
@@ -297,6 +301,33 @@ def test_reruns_are_byte_identical(capsys, hw_file, chain_json):
         _, first, _ = _run(capsys, *argv)
         _, second, _ = _run(capsys, *argv)
         assert first == second
+
+
+def test_fresh_interpreters_print_identical_bytes(tmp_path, chain_json):
+    # String hashing is salted per process, so set and dict order may
+    # differ between interpreters even where reruns in one process agree.
+    system = tmp_path / "sys.ideal"
+    system.write_text("ring x y z\nx^2 + 2*x*y^2 - z\nx*y + 2*y^3 - 1\ny*z - x^2\n")
+    cubic = "ring p_0..p_3;p_1^2 - p_0*p_2;p_1*p_2 - p_0*p_3;p_2^2 - p_1*p_3"
+    src = os.path.dirname(os.path.dirname(algstat.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in (
+        ("compute-lc", chain_json),
+        ("ml-degree", "--ideal", cubic, "--inline"),
+        ("groebner", str(system)),
+    ):
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-m", "algstat", *argv],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                check=True,
+                timeout=120,
+            ).stdout
+            for seed in ("0", "12345")
+        ]
+        assert outputs[0], argv
+        assert outputs[0] == outputs[1], argv
 
 
 # --------------------------------------------------------------- exit codes

@@ -161,9 +161,9 @@ def _random_int_divisor(ring, rng, nterms):
 
 
 def test_normal_form_matches_division_oracle_on_long_inputs():
-    # Dividends of 20-80 terms start the kernel's accumulator with two or
-    # more buckets, and leading coefficients other than +-1 make it
-    # rescale them.
+    # Dividends of 20-80 terms and divisors of 2-8 terms keep many
+    # reducer streams live in the kernel's heap at once, and leading
+    # coefficients other than +-1 make it rescale them.
     rng = random.Random(71)
     orders = [LEX, GREVLEX, MonomialOrder.block(1), MonomialOrder.block(2)]
     rescaled = 0
@@ -184,8 +184,8 @@ def test_normal_form_matches_division_oracle_on_long_inputs():
 
 
 def test_normal_form_skips_bucket_heads_that_cancel():
-    # The 7-term dividend starts in the second bucket; reducing x*y^4 by
-    # x - y puts y^5 in the first, and the two heads at y^5 cancel (or add).
+    # Reducing x*y^4 by x - y starts a stream at y^5 beside the rest of
+    # the dividend, and the two tie at the top key and cancel (or add).
     r = _ring(("x", "y"))
     x, y = r.gens()
     g = x - y
@@ -194,6 +194,66 @@ def test_normal_form_skips_bucket_heads_that_cancel():
         f = x * y**4 + c * y**5 + tail
         assert normal_form(f, [g]) == (c + 1) * y**5 + tail
         assert normal_form(f, [g]).terms == _oracle_remainder(f, [g], GREVLEX)
+
+
+def _kernel_divide(f, divisors):
+    """The kernel's (remainder, scale) for f, the remainder as Polynomial terms."""
+    pack = _packing(f.ring.order, f.ring.nvars)
+    rem, scale = _divide(_int_terms(f, pack)[0], _divisors(divisors, pack), pack.guard)
+    return tuple((pack.unpack(m), Fraction(c, scale)) for _, m, c in rem), scale
+
+
+def test_divide_sums_three_tied_streams_that_cancel():
+    # Under lex, x and y are reduced by x - z and y - z; each starts a
+    # stream at z, which ties with the dividend's own c*z.  For c = -2 the
+    # three cancel and the step is skipped; w still reaches the remainder.
+    r = _ring(("x", "y", "z", "w"), LEX)
+    x, y, z, w = r.gens()
+    divisors = [x - z, y - z]
+    for c in (-2, 5):
+        for tail in (r.zero(), w, 3 * w**2 - w):
+            f = x + y + c * z + tail
+            rem, scale = _kernel_divide(f, divisors)
+            assert scale == 1
+            assert rem == _oracle_remainder(f, divisors, LEX)
+            assert r.poly(list(rem)) == (c + 2) * z + tail
+
+
+def test_divide_rescales_every_live_stream():
+    # u moves to the remainder; x is reduced by 2x - z (scale 2), which
+    # leaves the dividend's stream and a stream at z live.  Then 2y is
+    # reduced by 3y - w, so the remainder and both live streams are scaled
+    # by 3 before the new stream starts: the total scale is 6.
+    r = _ring(("u", "x", "y", "z", "w"), LEX)
+    u, x, y, z, w = r.gens()
+    divisors = [2 * x - z, 3 * y - w]
+    f = u + x + y + z + w
+    rem, scale = _kernel_divide(f, divisors)
+    assert scale == 6
+    assert rem == _oracle_remainder(f, divisors, LEX)
+    assert r.poly(list(rem)) == u + Fraction(3, 2) * z + Fraction(4, 3) * w
+    assert normal_form(f, divisors).terms == rem
+
+
+def test_divide_single_term_reducers_push_no_stream():
+    r = _ring(("x", "y", "z"))
+    x, y, z = r.gens()
+    assert _kernel_divide(x**2 + x * y, [x]) == ((), 1)
+    cases = [
+        (x**2 * y**2 + 2 * x * y + y**3 + z, [3 * x * y, y**2 - z]),
+        (x**2 * y**2 + 2 * x * y + y**3 + z, [y**2 - z, 3 * x * y]),
+        (5 * x**3 + x * z - 7 * y**2 * z + 1, [2 * z, x**2 - y]),
+    ]
+    for f, divisors in cases:
+        rem, _ = _kernel_divide(f, divisors)
+        assert rem == _oracle_remainder(f, divisors, GREVLEX)
+
+
+def test_divide_empty_dividend():
+    pack = _packing(GREVLEX, 2)
+    r = _ring(("x", "y"))
+    for divisors in ([], [r.gen(0) - 1], [2 * r.gen(1)]):
+        assert _divide([], _divisors(divisors, pack), pack.guard) == ([], 1)
 
 
 def test_exponent_overflow_trips_the_guardrail():
