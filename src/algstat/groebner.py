@@ -22,6 +22,15 @@ int is the order's sort key in mixed radix; sort keys are additive, so a
 shifted term's key is a sum too.  Terms are packed where polynomials
 enter the kernel and unpacked where bases and remainders leave it.
 
+Each leading term is reduced by the first reducer in list order whose
+leading term divides it.  The reducers sit in one index (_Reducers) that
+keeps, per variable, a bitset of the reducers whose leading term lacks
+that variable.  A reducer can divide a term only if its leading term's
+support lies in the term's, so the AND of those bitsets over the
+variables the term lacks gives the candidates, memoized per support.
+Only candidates get the divisibility test, lowest list position first,
+so the reducer chosen is the one a scan of the whole list would choose.
+
 The reduced basis handed back is monic over Q, sorted ascending by
 leading term, and therefore canonical for the ideal and order.
 
@@ -139,7 +148,9 @@ class GroebnerBasis:
         self.generators = ideal.generators
         self.basis = tuple(basis)
         self.order = order
-        self._reducers = None  # the basis as kernel reducers, made on first use
+        # the basis as a kernel reducer index: buchberger hands over the
+        # one it reduced the basis with, else normal_form builds it
+        self._reducers = None
 
     @property
     def ideal(self) -> Ideal:
@@ -189,12 +200,19 @@ class _Packing:
     packed keys of the unit vectors, and key ints add as sort keys do.
     The radix exceeds every difference of two key entries of exponents
     below 2**64, so key ints compare exactly as the sort-key tuples do.
+
+    ``(m + ones) & guard`` is the support of a packed monomial m whose
+    guard bits are clear: ``ones`` fills the 63 low bits of every field,
+    so a field's sum reaches its guard bit exactly when its exponent is
+    nonzero.  Supports are packed like monomials, so one variable set
+    lies in another exactly when ``s & ~t`` is 0.
     """
 
-    __slots__ = ("guard", "weights", "_struct")
+    __slots__ = ("guard", "ones", "weights", "_struct")
 
     def __init__(self, order: MonomialOrder, n: int):
         self.guard = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(n))
+        self.ones = self.guard - (self.guard >> (_FIELD - 1))
         self._struct = struct.Struct(f"<{n}Q")
         units = [order.sort_key(tuple(int(i == j) for j in range(n))) for i in range(n)]
         width = len(units[0]) if units else 0
@@ -220,12 +238,63 @@ def _packing(order: MonomialOrder, n: int) -> _Packing:
     return _Packing(order, n)
 
 
-def _mask(m) -> int:
-    b = 0
-    for i, e in enumerate(m):
-        if e:
-            b |= 1 << i
-    return b
+class _Reducers:
+    """Kernel reducers in scan order, indexed by their leading terms' supports.
+
+    ``items`` holds (lt, lc, terms) per reducer.  ``miss[i]`` is a bitset
+    over list positions whose bit r is set when reducer r's leading term
+    does not involve variable i.  A reducer divides a term only if its
+    leading term's support lies in the term's, so the candidates for a
+    term of support s are the AND of ``miss[i]`` over the variables s
+    lacks; ``candidates`` memoizes that bitset per support, and an insert
+    clears the memo.  Bit order is list order, so walking a candidate
+    bitset from its lowest bit keeps the first match in list order.
+    """
+
+    __slots__ = ("guard", "ones", "items", "miss", "memo")
+
+    def __init__(self, pack: _Packing, term_lists=()):
+        self.guard = pack.guard
+        self.ones = pack.ones
+        self.items = [(t[0][1], t[0][2], t) for t in term_lists if t]
+        self.miss = miss = [0] * len(pack.weights)
+        self.memo = {}
+        variables = range(len(miss))
+        for r, (lt, _, _) in enumerate(self.items):
+            for i in itertools.compress(variables, self._absent((lt + self.ones) & self.guard)):
+                miss[i] |= 1 << r
+
+    def __len__(self):
+        return len(self.items)
+
+    def _absent(self, s: int) -> bytes:
+        """One byte per variable: 1 where support s lacks it, else 0."""
+        flags = (self.guard ^ s) >> (_FIELD - 1)  # variable i's flag in bit 64*i
+        return flags.to_bytes(len(self.miss) * (_FIELD // 8), "little")[:: _FIELD // 8]
+
+    def insert(self, at: int, terms):
+        """Put the nonzero term list ``terms`` at list position ``at``."""
+        lt = terms[0][1]
+        bit = 1 << at
+        miss = self.miss
+        for i, absent in enumerate(self._absent((lt + self.ones) & self.guard)):
+            m = miss[i]
+            high = m >> at  # the bits of positions at.. move up one
+            if high:
+                m = (m & (bit - 1)) | (high << (at + 1))
+            if absent:
+                m |= bit
+            miss[i] = m
+        self.items.insert(at, (lt, terms[0][2], terms))
+        self.memo.clear()
+
+    def candidates(self, s: int) -> int:
+        """Bitset of the reducers whose leading term's support lies in support s."""
+        cand = (1 << len(self.items)) - 1
+        for m in itertools.compress(self.miss, self._absent(s)):
+            cand &= m
+        self.memo[s] = cand
+        return cand
 
 
 def _normalize_content(terms):
@@ -287,15 +356,18 @@ def _combine(f, a, g, b):
     return out
 
 
-def _divide(p, reducers, guard):
+def _divide(p, reducers: _Reducers):
     """Fraction-free full division of packed term list p: the one reduction loop.
 
-    reducers: list of (lt, lc, terms), scanned first-match in list order
-    for each leading remaining term; lt divides it when their difference
-    has no guard bit set (see _Packing).  Returns (rem, scale) with scale
-    a positive integer and rem/scale the exact remainder of p.  A leading
-    term with a guard bit set has an exponent above ring.MAX_EXPONENT,
-    which no Polynomial may hold, and raises GuardrailError.
+    Each leading remaining term is reduced by the first reducer in list
+    order whose leading term divides it; lt divides it when their
+    difference has no guard bit set (see _Packing).  Only the candidates
+    the support index gives (see _Reducers) are tested, lowest list
+    position first, so the reducer found is the one a scan of the whole
+    list would find.  Returns (rem, scale) with scale a positive integer
+    and rem/scale the exact remainder of p.  A leading term with a guard
+    bit set has an exponent above ring.MAX_EXPONENT, which no Polynomial
+    may hold, and raises GuardrailError.
 
     The part of p not yet reduced or moved to rem is a sum of streams
     merged lazily in a max-heap (Johnson, "Sparse polynomial arithmetic",
@@ -320,6 +392,8 @@ def _divide(p, reducers, guard):
     scale = 1
     if not p:
         return rem, scale
+    guard, ones, items, memo = reducers.guard, reducers.ones, reducers.items, reducers.memo
+    candidates = reducers.candidates
     streams = [[p, 0, 0, 0, 1]]  # [terms, position, exponent shift, -key shift, coefficient]
     heap = [-p[0][0]]  # negated keys, each once
     chains = {heap[0]: [0]}  # negated key -> ids of the streams whose next term has it
@@ -344,10 +418,17 @@ def _divide(p, reducers, guard):
         lm = t[1] + ms
         if lm & guard:
             raise GuardrailError(f"an exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
-        for lt, ltc, gterms in reducers:
+        support = (lm + ones) & guard
+        cand = memo.get(support)
+        if cand is None:
+            cand = candidates(support)
+        while cand:
+            low = cand & -cand
+            lt, ltc, gterms = items[low.bit_length() - 1]
             shift = lm - lt
             if not shift & guard:
                 break
+            cand ^= low
         else:
             # a term equal to its stream's own tuple is kept, not copied
             rem.append(t if lc == t[2] and lm == t[1] else (-nk, lm, lc))
@@ -375,18 +456,13 @@ def _divide(p, reducers, guard):
     return rem, scale
 
 
-def _reduce_full(p, reducers, guard):
+def _reduce_full(p, reducers: _Reducers):
     """Primitive full normal form of p: a nonzero rational multiple of the remainder."""
-    return _normalize_content(_divide(p, reducers, guard)[0])
+    return _normalize_content(_divide(p, reducers)[0])
 
 
-def _make_reducers(term_lists):
-    """Kernel reducers for nonzero packed term lists, in list order."""
-    return [(t[0][1], t[0][2], t) for t in term_lists if t]
-
-
-def _divisors(polys, pack: _Packing):
-    return _make_reducers([_primitive_terms(g, pack) for g in polys])
+def _divisors(polys, pack: _Packing) -> _Reducers:
+    return _Reducers(pack, [_primitive_terms(g, pack) for g in polys])
 
 
 def _spair_terms(f, g, lcm_exps, lcm_key):
@@ -409,18 +485,28 @@ def _monomial_divides(a, b) -> bool:
     return True
 
 
-def _interreduce(term_lists, guard):
-    """Minimalize, then tail-reduce once (the leading terms are final); canonical lists."""
+def _interreduce(term_lists, pack: _Packing) -> _Reducers:
+    """Minimalize, then tail-reduce once (the leading terms are final).
+
+    Returns the index of the canonical lists, ascending by leading term.
+    Each element's tail is divided by the whole index: no term below a
+    head is divisible by it, so that is division by all the others, the
+    ones before it already reduced.
+    """
+    guard = pack.guard
     items = sorted((t for t in term_lists if t), key=lambda t: t[0][0])
     minimal = []
     for t in items:
         lt = t[0][1]
         if all((lt - m[0][1]) & guard for m in minimal):
             minimal.append(t)
-    for i in range(len(minimal)):
-        others = minimal[:i] + minimal[i + 1 :]
-        minimal[i] = _reduce_full(minimal[i], _make_reducers(others), guard)
-    return minimal
+    index = _Reducers(pack, minimal)
+    for i, t in enumerate(minimal):
+        rem, scale = _divide(t[1:], index)
+        head = t[0] if scale == 1 else (t[0][0], t[0][1], t[0][2] * scale)
+        reduced = _normalize_content([head] + rem)
+        index.items[i] = (reduced[0][1], reduced[0][2], reduced)
+    return index
 
 
 def buchberger(ideal: Ideal) -> GroebnerBasis:
@@ -439,15 +525,15 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     ring = ideal.ring
     order = ring.order
     pack = _packing(order, ring.nvars)
-    guard = pack.guard
+    guard, ones = pack.guard, pack.ones
     known = ideal._known
     inputs = [_primitive_terms(g, pack) for g in ideal.generators[known:]]
     inputs.sort(key=lambda t: (t[0][0], t))
 
     basis: list = []  # packed term lists
     lts: list = []  # leading monomials as exponent tuples
-    masks: list = []
-    reducers: list = []  # (lt, lc, terms) ascending by leading term
+    supports: list = []  # packed supports of the leading monomials
+    reducers = _Reducers(pack)  # ascending by leading term
     reducer_keys: list = []
     pending: dict = {}  # (i, j) -> lcm monomial
     heap: list = []
@@ -460,20 +546,20 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         lt_new = pack.unpack(terms[0][1])
         basis.append(terms)
         lts.append(lt_new)
-        masks.append(_mask(lt_new))
+        s_new = (terms[0][1] + ones) & guard
+        supports.append(s_new)
         kn = terms[0][0]
         at = bisect_left(reducer_keys, kn)
-        reducers.insert(at, (terms[0][1], terms[0][2], terms))
+        reducers.insert(at, terms)
         reducer_keys.insert(at, kn)
         if not pairs:
             return
 
         # chain criterion over queued pairs; lt_new divides no lcm whose
         # support misses one of its variables
-        mnew = masks[new]
         for pair in list(pending):
             i, j = pair
-            if mnew & ~(masks[i] | masks[j]):
+            if s_new & ~(supports[i] | supports[j]):
                 continue
             l = pending[pair]
             if (
@@ -484,13 +570,13 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
                 del pending[pair]
 
         cand = {g: lcm_m(lts[g], lt_new) for g in range(new)}
-        lmasks = {g: masks[g] | mnew for g in cand}
+        lsupports = {g: supports[g] | s_new for g in cand}
         kept = []
         for g, l in cand.items():
-            lmask = lmasks[g]
+            outside = ~lsupports[g]
             drop = False
             for g2, l2 in cand.items():
-                if lmasks[g2] & ~lmask:
+                if lsupports[g2] & outside:
                     continue
                 if l2 != l and _monomial_divides(l2, l):
                     drop = True
@@ -501,11 +587,8 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         for g in kept:
             groups.setdefault(cand[g], []).append(g)
         for l, members in groups.items():
-            coprime = any(
-                all(x == 0 or y == 0 for x, y in zip(lts[g], lt_new)) for g in members
-            )
-            if coprime:
-                continue
+            if any(not supports[g] & s_new for g in members):
+                continue  # product criterion: coprime leading monomials
             rep = min(members)
             pending[(rep, new)] = l
             heappush(heap, (sum(l), pack.key(l), rep, new))
@@ -513,7 +596,7 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     for g in ideal.generators[:known]:
         add_poly(_primitive_terms(g, pack), pairs=False)
     for t in inputs:
-        r = _reduce_full(t, reducers, guard)
+        r = _reduce_full(t, reducers)
         if r:
             add_poly(r)
 
@@ -525,20 +608,19 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         s = _spair_terms(basis[i], basis[j], pack.exps(l), kl)
         if not s:
             continue
-        r = _reduce_full(s, reducers, guard)
+        r = _reduce_full(s, reducers)
         if r:
             add_poly(r)
 
-    reduced = _interreduce(basis, guard)
+    reduced = _interreduce(basis, pack)
     unpack = pack.unpack
     out = []
-    for t in reduced:
-        lc = t[0][2]
+    for _, lc, t in reduced.items:
         out.append(
             Polynomial._raw(ring, tuple((unpack(m), Fraction(c, lc)) for _, m, c in t))
         )
     gb = GroebnerBasis(ideal, out, order)
-    gb._reducers = _make_reducers(reduced)
+    gb._reducers = reduced
     return gb
 
 
@@ -570,7 +652,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     if not reducers or not f.terms:
         return f
     p, denom = _int_terms(f, pack)
-    rem, scale = _divide(p, reducers, pack.guard)
+    rem, scale = _divide(p, reducers)
     scale *= denom
     unpack = pack.unpack
     return Polynomial._raw(ring, tuple((unpack(m), Fraction(c, scale)) for _, m, c in rem))

@@ -42,7 +42,7 @@ from algstat import (
     saturate_by_product,
 )
 import algstat.groebner
-from algstat.groebner import _divide, _divisors, _int_terms, _packing
+from algstat.groebner import _Reducers, _divide, _divisors, _int_terms, _packing
 from algstat.ring import MAX_EXPONENT
 
 
@@ -178,7 +178,7 @@ def test_normal_form_matches_division_oracle_on_long_inputs():
             pack = _packing(order, r.nvars)
             reducers = _divisors(divisors, pack)
             p = _int_terms(f, pack)[0]
-            rescaled += _divide(p, reducers, pack.guard)[1] > 1
+            rescaled += _divide(p, reducers)[1] > 1
             assert normal_form(f, divisors).terms == _oracle_remainder(f, divisors, order)
     assert rescaled >= 16
 
@@ -198,9 +198,15 @@ def test_normal_form_skips_bucket_heads_that_cancel():
 
 def _kernel_divide(f, divisors):
     """The kernel's (remainder, scale) for f, the remainder as Polynomial terms."""
+    return _index_divide(f, _divisors(divisors, _packing(f.ring.order, f.ring.nvars)))
+
+
+def _index_divide(f, index):
+    """The kernel's (remainder, scale) for f by a reducer index."""
     pack = _packing(f.ring.order, f.ring.nvars)
-    rem, scale = _divide(_int_terms(f, pack)[0], _divisors(divisors, pack), pack.guard)
-    return tuple((pack.unpack(m), Fraction(c, scale)) for _, m, c in rem), scale
+    p, denom = _int_terms(f, pack)
+    rem, scale = _divide(p, index)
+    return tuple((pack.unpack(m), Fraction(c, scale * denom)) for _, m, c in rem), scale
 
 
 def test_divide_sums_three_tied_streams_that_cancel():
@@ -253,7 +259,99 @@ def test_divide_empty_dividend():
     pack = _packing(GREVLEX, 2)
     r = _ring(("x", "y"))
     for divisors in ([], [r.gen(0) - 1], [2 * r.gen(1)]):
-        assert _divide([], _divisors(divisors, pack), pack.guard) == ([], 1)
+        assert _divide([], _divisors(divisors, pack)) == ([], 1)
+
+
+def test_reducer_index_insert_finds_the_new_reducer_for_a_known_support():
+    # Dividing by x^2 - z memoizes the candidates of x*y's support {x, y}.
+    # y - z, inserted before or after, has support {y}, which lies in it:
+    # the lookup must see it, though _interreduce would later repair a
+    # basis built from a stale memo.  x^2 must still find x^2 - z after
+    # an insert moves it.
+    r = _ring(("x", "y", "z"))
+    x, y, z = r.gens()
+    pack = _packing(GREVLEX, 3)
+    f = x**2 + x * y + z
+    for at in (0, 1):
+        index = _divisors([x**2 - z], pack)
+        assert r.poly(list(_index_divide(f, index)[0])) == x * y + 2 * z
+        assert index.memo
+        index.insert(at, _int_terms(y - z, pack)[0])
+        divisors = [x**2 - z, y - z] if at else [y - z, x**2 - z]
+        rem = _index_divide(f, index)[0]
+        assert rem == _oracle_remainder(f, divisors, GREVLEX)
+        assert r.poly(list(rem)) == x * z + 2 * z
+
+
+def test_reducer_index_tests_every_reducer_of_a_shared_support():
+    # x^2*y and x*y^2 have the same support; only the later divides x*y^3
+    r = _ring(("x", "y", "z", "w"))
+    x, y, z, w = r.gens()
+    divisors = [x**2 * y - z, x * y**2 - w]
+    f = x * y**3 + z
+    rem, _ = _kernel_divide(f, divisors)
+    assert rem == _oracle_remainder(f, divisors, GREVLEX)
+    assert r.poly(list(rem)) == y * w + z
+
+
+def test_reducer_index_keeps_list_order_over_support_size():
+    # x*y - z (support {x, y}) and x - w (support {x}) both divide x*y;
+    # the first in list order reduces it, whatever the supports' sizes
+    r = _ring(("x", "y", "z", "w"))
+    x, y, z, w = r.gens()
+    f = x * y
+    for divisors, expected in (([x * y - z, x - w], z), ([x - w, x * y - z], y * w)):
+        rem, _ = _kernel_divide(f, divisors)
+        assert rem == _oracle_remainder(f, divisors, GREVLEX)
+        assert r.poly(list(rem)) == expected
+
+
+def test_reducer_index_over_no_reducers():
+    r = _ring(("x", "y"))
+    x, y = r.gens()
+    pack = _packing(GREVLEX, 2)
+    index = _Reducers(pack)
+    assert len(index) == 0
+    f = x**2 * y + 3 * y - 1
+    assert _index_divide(f, index)[0] == f.terms
+    index.insert(0, _int_terms(y + 1, pack)[0])
+    assert r.poly(list(_index_divide(f, index)[0])) == -x**2 - 4
+
+
+def _sparse_poly(ring, rng, nterms, maxdeg):
+    """A polynomial whose monomials each involve one to three variables."""
+    terms = []
+    for _ in range(nterms):
+        m = [0] * ring.nvars
+        for i in rng.sample(range(ring.nvars), rng.randint(1, 3)):
+            m[i] = rng.randint(1, maxdeg)
+        terms.append((tuple(m), Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+    return ring.poly(terms)
+
+
+def test_normal_form_matches_division_oracle_at_index_scale():
+    # 10-30 sparse divisors in 6-8 variables, in random list order: their
+    # leading terms' supports differ, so the support index filters most
+    # reducers out of each scan, and the first match must still be the
+    # oracle's.
+    rng = random.Random(83)
+    orders = [LEX, GREVLEX, MonomialOrder.block(1), MonomialOrder.block(2)]
+    filtered = 0
+    for _ in range(10):
+        for order in orders:
+            r = _ring(tuple(f"x_{k}" for k in range(rng.randint(6, 8))), order)
+            divisors = [
+                _sparse_poly(r, rng, rng.randint(1, 3), 2) for _ in range(rng.randint(10, 30))
+            ]
+            divisors = [g for g in divisors if g.terms]
+            assert len(divisors) >= 10
+            f = _sparse_poly(r, rng, rng.randint(10, 30), 3)
+            rem = normal_form(f, divisors).terms
+            assert rem == _oracle_remainder(f, divisors, order)
+            index = _divisors(divisors, _packing(order, r.nvars))
+            assert _index_divide(f, index)[0] == rem
+            filtered += sum(c.bit_count() < len(index) for c in index.memo.values())
+    assert filtered >= 200
 
 
 def test_exponent_overflow_trips_the_guardrail():

@@ -136,6 +136,9 @@ def test_flat_sort_key_is_additive_and_orders_like_compare(order, a, b):
     assert (pack.key(s) == pack.key(t)) == (ks == kt)
     assert (not (pb - pa) & pack.guard) == _monomial_divides(a, b)
     assert (not (pa - pb) & pack.guard) == _monomial_divides(b, a)
+    # a packed support has the guard bit of each variable that occurs
+    support = sum(1 << (64 * i + 63) for i, e in enumerate(a) if e)
+    assert (pa + pack.ones) & pack.guard == support
 
 
 def test_compare_rejects_unequal_lengths():
