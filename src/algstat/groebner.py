@@ -20,7 +20,11 @@ test one subtraction and one mask, and a leading exponent above
 ring.MAX_EXPONENT sets a guard bit and raises GuardrailError.  The key
 int is the order's sort key in mixed radix; sort keys are additive, so a
 shifted term's key is a sum too.  Terms are packed where polynomials
-enter the kernel and unpacked where bases and remainders leave it.
+enter the kernel and unpacked where bases and remainders leave it.  The
+pair criteria read the same packed leading monomials: an lcm is a
+per-field max in a few word operations, two leading monomials are
+coprime exactly when their lcm equals their product, and a queued lcm
+is unpacked once, for its place in the pair queue.
 
 Each leading term is reduced by the first reducer in list order whose
 leading term divides it.  The reducers sit in one index (_Reducers) that
@@ -206,6 +210,12 @@ class _Packing:
     so a field's sum reaches its guard bit exactly when its exponent is
     nonzero.  Supports are packed like monomials, so one variable set
     lies in another exactly when ``s & ~t`` is 0.
+
+    lcm(a, b) is the per-field max of two such monomials, also free of
+    borrows: ``(a | guard) - b`` keeps a field's guard bit exactly when
+    its exponent in a is at least the one in b, and that bit, spread over
+    the field's 63 low bits, picks a's exponent over b's.  The lcm equals
+    ``a + b`` exactly when a and b are coprime.
     """
 
     __slots__ = ("guard", "ones", "weights", "_struct")
@@ -227,6 +237,10 @@ class _Packing:
 
     def key(self, m) -> int:
         return sum(map(mul, m, self.weights))
+
+    def lcm(self, a: int, b: int) -> int:
+        ge = ((a | self.guard) - b) & self.guard  # guard bits where a >= b
+        return b ^ ((a ^ b) & (ge - (ge >> (_FIELD - 1))))
 
     def unpack(self, packed: int):
         """The exponent tuple of a packed monomial."""
@@ -478,13 +492,6 @@ def _spair_terms(f, g, lcm_exps, lcm_key):
     )
 
 
-def _monomial_divides(a, b) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
 def _interreduce(term_lists, pack: _Packing) -> _Reducers:
     """Minimalize, then tail-reduce once (the leading terms are final).
 
@@ -525,29 +532,21 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     ring = ideal.ring
     order = ring.order
     pack = _packing(order, ring.nvars)
-    guard, ones = pack.guard, pack.ones
+    guard = pack.guard
     known = ideal._known
     inputs = [_primitive_terms(g, pack) for g in ideal.generators[known:]]
     inputs.sort(key=lambda t: (t[0][0], t))
 
     basis: list = []  # packed term lists
-    lts: list = []  # leading monomials as exponent tuples
-    supports: list = []  # packed supports of the leading monomials
     reducers = _Reducers(pack)  # ascending by leading term
     reducer_keys: list = []
-    pending: dict = {}  # (i, j) -> lcm monomial
+    pending: dict = {}  # (i, j) -> packed lcm of their leading monomials
     heap: list = []
-
-    def lcm_m(a, b):
-        return tuple(max(x, y) for x, y in zip(a, b))
 
     def add_poly(terms, pairs=True):
         new = len(basis)
-        lt_new = pack.unpack(terms[0][1])
+        lm = terms[0][1]
         basis.append(terms)
-        lts.append(lt_new)
-        s_new = (terms[0][1] + ones) & guard
-        supports.append(s_new)
         kn = terms[0][0]
         at = bisect_left(reducer_keys, kn)
         reducers.insert(at, terms)
@@ -555,43 +554,25 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         if not pairs:
             return
 
-        # chain criterion over queued pairs; lt_new divides no lcm whose
-        # support misses one of its variables
-        for pair in list(pending):
+        cand = [pack.lcm(t[0][1], lm) for t in basis[:new]]
+        # chain criterion over queued pairs
+        for pair, l in list(pending.items()):
             i, j = pair
-            if s_new & ~(supports[i] | supports[j]):
-                continue
-            l = pending[pair]
-            if (
-                _monomial_divides(lt_new, l)
-                and lcm_m(lts[i], lt_new) != l
-                and lcm_m(lts[j], lt_new) != l
-            ):
+            if not (l - lm) & guard and cand[i] != l and cand[j] != l:
                 del pending[pair]
 
-        cand = {g: lcm_m(lts[g], lt_new) for g in range(new)}
-        lsupports = {g: supports[g] | s_new for g in cand}
-        kept = []
-        for g, l in cand.items():
-            outside = ~lsupports[g]
-            drop = False
-            for g2, l2 in cand.items():
-                if lsupports[g2] & outside:
-                    continue
-                if l2 != l and _monomial_divides(l2, l):
-                    drop = True
-                    break
-            if not drop:
-                kept.append(g)
         groups: dict = {}
-        for g in kept:
-            groups.setdefault(cand[g], []).append(g)
+        for g, l in enumerate(cand):
+            groups.setdefault(l, []).append(g)
         for l, members in groups.items():
-            if any(not supports[g] & s_new for g in members):
+            if any(l2 != l and not (l - l2) & guard for l2 in groups):
+                continue  # a pair whose lcm properly divides l covers these
+            if any(basis[g][0][1] + lm == l for g in members):
                 continue  # product criterion: coprime leading monomials
             rep = min(members)
             pending[(rep, new)] = l
-            heappush(heap, (sum(l), pack.key(l), rep, new))
+            e = pack.unpack(l)
+            heappush(heap, (sum(e), pack.key(e), rep, new))
 
     for g in ideal.generators[:known]:
         add_poly(_primitive_terms(g, pack), pairs=False)
@@ -605,7 +586,7 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         l = pending.pop((i, j), None)
         if l is None:
             continue
-        s = _spair_terms(basis[i], basis[j], pack.exps(l), kl)
+        s = _spair_terms(basis[i], basis[j], l, kl)
         if not s:
             continue
         r = _reduce_full(s, reducers)
@@ -1045,7 +1026,7 @@ def parse_ideal_text(text: str) -> Ideal:
         names.extend(_expand_var_token(token, lineno))
     body = lines[1:]
     order = GREVLEX
-    if body and body[0][1].startswith("order"):
+    if body and body[0][1].split()[0] == "order":
         lineno, order_line = body[0]
         tokens = order_line.split()
         if len(tokens) != 2 or tokens[1] not in ("lex", "grevlex"):
@@ -1066,29 +1047,25 @@ def parse_ideal_text(text: str) -> Ideal:
 
 
 def _group_var_names(names) -> str:
+    """The ring line: runs of names stem_i, stem_i+1, ... become one range.
+
+    Only names whose index has its canonical spelling join a run, since
+    a range expands to canonical spellings (p_00 must not print as p_0).
+    """
+    keys = []
+    for name in names:
+        m = _VAR_SPLIT_RE.match(name)
+        canonical = m and "_" in name and str(int(m.group(2))) == m.group(2)
+        keys.append((m.group(1), int(m.group(2))) if canonical else None)
     tokens = []
     i = 0
-    n = len(names)
-    while i < n:
-        m = _VAR_SPLIT_RE.match(names[i])
-        if not m or "_" not in names[i]:
-            tokens.append(names[i])
-            i += 1
-            continue
-        stem, start = m.group(1), int(m.group(2))
+    while i < len(names):
         j = i
-        nxt = start
-        while j + 1 < n:
-            m2 = _VAR_SPLIT_RE.match(names[j + 1])
-            if m2 and "_" in names[j + 1] and m2.group(1) == stem and int(m2.group(2)) == nxt + 1:
+        if keys[i]:
+            stem, start = keys[i]
+            while j + 1 < len(names) and keys[j + 1] == (stem, start + j + 1 - i):
                 j += 1
-                nxt += 1
-            else:
-                break
-        if j > i:
-            tokens.append(f"{stem}_{start}..{stem}_{nxt}")
-        else:
-            tokens.append(names[i])
+        tokens.append(names[i] if j == i else f"{names[i]}..{names[j]}")
         i = j + 1
     return " ".join(tokens)
 

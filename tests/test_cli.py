@@ -87,6 +87,17 @@ def test_compute_lc_output_reparses_to_same_ideal(capsys, hw_file):
     assert ideal_equal(back, parse_ideal_text(again))
 
 
+def test_groebner_output_keeps_index_spelling(capsys):
+    code, out, _ = _run(
+        capsys, "groebner", "--ideal", "ring p_00 p_1;p_00^2 - p_1^2", "--inline"
+    )
+    assert code == 0
+    assert out.startswith("ring p_00 p_1\n")
+    back = parse_ideal_text(out)
+    assert back.ring.variables == ("p_00", "p_1")
+    assert ideal_equal(back, parse_ideal_text("ring p_00 p_1\np_00^2 - p_1^2\n"))
+
+
 def test_compute_lc_inline_ideal(capsys):
     code, out, _ = _run(
         capsys, "compute-lc", "--ideal", "ring p_0..p_1", "--inline"

@@ -917,6 +917,12 @@ def test_parse_ideal_text_range_syntax():
 def test_parse_ideal_text_order_line():
     i = parse_ideal_text("ring x y\norder lex\nx - y\n")
     assert i.ring.order == LEX
+    # only a first token of exactly 'order' makes the order line
+    i = parse_ideal_text("ring order_1 x\norder_1*x - 1\n")
+    assert i.ring.order == GREVLEX
+    assert i.generators == _ideal(i.ring, "order_1*x - 1").generators
+    with pytest.raises(InputError):
+        parse_ideal_text("ring order_1 x\norder weird\norder_1*x - 1\n")
 
 
 def test_parse_ideal_text_comments_and_blanks():
@@ -974,6 +980,25 @@ def test_ideal_file_round_trip():
         back = parse_ideal_text(format_ideal(i))
         assert back.ring == r
         assert back.generators == i.generators
+
+
+@pytest.mark.parametrize(
+    "names, ring_line",
+    [
+        (("p_00", "p_1"), "ring p_00 p_1"),
+        (("p_1", "p_02"), "ring p_1 p_02"),
+        (("x_1", "x_2"), "ring x_1..x_2"),
+        (("a_9", "a_10", "a_011", "a_12"), "ring a_9..a_10 a_011 a_12"),
+    ],
+)
+def test_ideal_file_round_trip_keeps_index_spelling(names, ring_line):
+    r = _ring(names)
+    i = _ideal(r, f"{names[0]}^2 - {names[1]}^2")
+    text = format_ideal(i)
+    assert text.splitlines()[0] == ring_line
+    back = parse_ideal_text(text)
+    assert back.ring == r
+    assert back.generators == i.generators
 
 
 # ------------------------------------------------------------ poly matrix

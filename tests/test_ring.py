@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from operator import add
+from operator import add, le
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +17,7 @@ from algstat import (
     parse_polynomial,
     print_polynomial,
 )
-from algstat.groebner import _monomial_divides, _packing
+from algstat.groebner import _packing
 from algstat.ring import MAX_EXPONENT
 
 
@@ -134,8 +134,12 @@ def test_flat_sort_key_is_additive_and_orders_like_compare(order, a, b):
     ks, kt = order.sort_key(s), order.sort_key(t)
     assert (pack.key(s) > pack.key(t)) == (ks > kt)
     assert (pack.key(s) == pack.key(t)) == (ks == kt)
-    assert (not (pb - pa) & pack.guard) == _monomial_divides(a, b)
-    assert (not (pa - pb) & pack.guard) == _monomial_divides(b, a)
+    assert (not (pb - pa) & pack.guard) == all(map(le, a, b))
+    assert (not (pa - pb) & pack.guard) == all(map(le, b, a))
+    # the packed lcm is the entrywise max, and the product exactly when
+    # the supports are disjoint
+    assert pack.unpack(pack.lcm(pa, pb)) == tuple(map(max, a, b))
+    assert (pack.lcm(pa, pb) == pa + pb) == (not any(map(min, a, b)))
     # a packed support has the guard bit of each variable that occurs
     support = sum(1 << (64 * i + 63) for i, e in enumerate(a) if e)
     assert (pa + pack.ones) & pack.guard == support
