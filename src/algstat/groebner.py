@@ -34,6 +34,8 @@ support lies in the term's, so the AND of those bitsets over the
 variables the term lacks gives the candidates, memoized per support.
 Only candidates get the divisibility test, lowest list position first,
 so the reducer chosen is the one a scan of the whole list would choose.
+The index only grows at its end: in buchberger it is the basis itself,
+reducers in the order found, and the pair indices are its positions.
 
 The reduced basis handed back is monic over Q, sorted ascending by
 leading term, and therefore canonical for the ideal and order.
@@ -59,7 +61,6 @@ import functools
 import itertools
 import re
 import struct
-from bisect import bisect_left
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm, prod
@@ -260,9 +261,11 @@ class _Reducers:
     does not involve variable i.  A reducer divides a term only if its
     leading term's support lies in the term's, so the candidates for a
     term of support s are the AND of ``miss[i]`` over the variables s
-    lacks; ``candidates`` memoizes that bitset per support, and an insert
-    clears the memo.  Bit order is list order, so walking a candidate
-    bitset from its lowest bit keeps the first match in list order.
+    lacks; ``candidates`` memoizes that bitset per support.  Reducers are
+    only appended, so a position and its bit never move; an append sets
+    the new reducer's bits and clears the memo.  Bit order is list order,
+    so walking a candidate bitset from its lowest bit keeps the first
+    match in list order.
     """
 
     __slots__ = ("guard", "ones", "items", "miss", "memo")
@@ -270,13 +273,12 @@ class _Reducers:
     def __init__(self, pack: _Packing, term_lists=()):
         self.guard = pack.guard
         self.ones = pack.ones
-        self.items = [(t[0][1], t[0][2], t) for t in term_lists if t]
-        self.miss = miss = [0] * len(pack.weights)
+        self.items = []
+        self.miss = [0] * len(pack.weights)
         self.memo = {}
-        variables = range(len(miss))
-        for r, (lt, _, _) in enumerate(self.items):
-            for i in itertools.compress(variables, self._absent((lt + self.ones) & self.guard)):
-                miss[i] |= 1 << r
+        for t in term_lists:
+            if t:
+                self.append(t)
 
     def __len__(self):
         return len(self.items)
@@ -286,20 +288,14 @@ class _Reducers:
         flags = (self.guard ^ s) >> (_FIELD - 1)  # variable i's flag in bit 64*i
         return flags.to_bytes(len(self.miss) * (_FIELD // 8), "little")[:: _FIELD // 8]
 
-    def insert(self, at: int, terms):
-        """Put the nonzero term list ``terms`` at list position ``at``."""
+    def append(self, terms):
+        """Put the nonzero term list ``terms`` last, at list position len(self)."""
         lt = terms[0][1]
-        bit = 1 << at
+        bit = 1 << len(self.items)
         miss = self.miss
-        for i, absent in enumerate(self._absent((lt + self.ones) & self.guard)):
-            m = miss[i]
-            high = m >> at  # the bits of positions at.. move up one
-            if high:
-                m = (m & (bit - 1)) | (high << (at + 1))
-            if absent:
-                m |= bit
-            miss[i] = m
-        self.items.insert(at, (lt, terms[0][2], terms))
+        for i in itertools.compress(range(len(miss)), self._absent((lt + self.ones) & self.guard)):
+            miss[i] |= bit
+        self.items.append((lt, terms[0][2], terms))
         self.memo.clear()
 
     def candidates(self, s: int) -> int:
@@ -519,7 +515,11 @@ def _interreduce(term_lists, pack: _Packing) -> _Reducers:
 def buchberger(ideal: Ideal) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal in its ring's order.
 
-    Deterministic and canonical: independent of generator order.
+    Deterministic and canonical: independent of generator order.  The
+    basis grows as one append-only reducer index (_Reducers), in the order
+    its elements are found, so a reduction here uses the first divisor
+    found, and an S-pair names its elements by list position.  The
+    returned basis is the interreduced one, ascending by leading term.
 
     When the ideal's leading generators are known to be a Groebner basis
     already (``saturate`` marks them so), they are registered as
@@ -537,24 +537,17 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     inputs = [_primitive_terms(g, pack) for g in ideal.generators[known:]]
     inputs.sort(key=lambda t: (t[0][0], t))
 
-    basis: list = []  # packed term lists
-    reducers = _Reducers(pack)  # ascending by leading term
-    reducer_keys: list = []
+    # the basis, in the order found: pair indices are list positions
+    basis = _divisors(ideal.generators[:known], pack)
+    items = basis.items
     pending: dict = {}  # (i, j) -> packed lcm of their leading monomials
     heap: list = []
 
-    def add_poly(terms, pairs=True):
-        new = len(basis)
+    def add_poly(terms):
+        new = len(items)
         lm = terms[0][1]
+        cand = [pack.lcm(lt, lm) for lt, _, _ in items]
         basis.append(terms)
-        kn = terms[0][0]
-        at = bisect_left(reducer_keys, kn)
-        reducers.insert(at, terms)
-        reducer_keys.insert(at, kn)
-        if not pairs:
-            return
-
-        cand = [pack.lcm(t[0][1], lm) for t in basis[:new]]
         # chain criterion over queued pairs
         for pair, l in list(pending.items()):
             i, j = pair
@@ -567,17 +560,15 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         for l, members in groups.items():
             if any(l2 != l and not (l - l2) & guard for l2 in groups):
                 continue  # a pair whose lcm properly divides l covers these
-            if any(basis[g][0][1] + lm == l for g in members):
+            if any(items[g][0] + lm == l for g in members):
                 continue  # product criterion: coprime leading monomials
             rep = min(members)
             pending[(rep, new)] = l
             e = pack.unpack(l)
             heappush(heap, (sum(e), pack.key(e), rep, new))
 
-    for g in ideal.generators[:known]:
-        add_poly(_primitive_terms(g, pack), pairs=False)
     for t in inputs:
-        r = _reduce_full(t, reducers)
+        r = _reduce_full(t, basis)
         if r:
             add_poly(r)
 
@@ -586,14 +577,14 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         l = pending.pop((i, j), None)
         if l is None:
             continue
-        s = _spair_terms(basis[i], basis[j], l, kl)
+        s = _spair_terms(items[i][2], items[j][2], l, kl)
         if not s:
             continue
-        r = _reduce_full(s, reducers)
+        r = _reduce_full(s, basis)
         if r:
             add_poly(r)
 
-    reduced = _interreduce(basis, pack)
+    reduced = _interreduce([t for _, _, t in items], pack)
     unpack = pack.unpack
     out = []
     for _, lc, t in reduced.items:
@@ -1000,6 +991,9 @@ def _expand_var_token(token: str, lineno: int) -> list[str]:
     mr = _VAR_SPLIT_RE.match(right)
     if not ml or not mr or ml.group(1) != mr.group(1):
         raise ParseError(f"bad variable range {token!r}", lineno, 1)
+    if any(str(int(m.group(2))) != m.group(2) for m in (ml, mr)):
+        # a range expands to canonical spellings, so p_00..p_02 would make p_0..p_2
+        raise ParseError(f"zero-padded index in variable range {token!r}", lineno, 1)
     lo, hi = int(ml.group(2)), int(mr.group(2))
     if lo > hi:
         raise ParseError(f"descending variable range {token!r}", lineno, 1)
@@ -1026,10 +1020,12 @@ def parse_ideal_text(text: str) -> Ideal:
         names.extend(_expand_var_token(token, lineno))
     body = lines[1:]
     order = GREVLEX
-    if body and body[0][1].split()[0] == "order":
-        lineno, order_line = body[0]
-        tokens = order_line.split()
-        if len(tokens) != 2 or tokens[1] not in ("lex", "grevlex"):
+    tokens = body[0][1].split() if body else []
+    valid = len(tokens) == 2 and tokens[1] in ("lex", "grevlex")
+    # in a ring with a variable named order, only a valid order line is one
+    if tokens[:1] == ["order"] and (valid or "order" not in names):
+        lineno = body[0][0]
+        if not valid:
             raise ParseError("order line must be 'order lex' or 'order grevlex'", lineno, 1)
         order = LEX if tokens[1] == "lex" else GREVLEX
         body = body[1:]

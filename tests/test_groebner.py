@@ -264,23 +264,20 @@ def test_divide_empty_dividend():
 
 def test_reducer_index_insert_finds_the_new_reducer_for_a_known_support():
     # Dividing by x^2 - z memoizes the candidates of x*y's support {x, y}.
-    # y - z, inserted before or after, has support {y}, which lies in it:
-    # the lookup must see it, though _interreduce would later repair a
-    # basis built from a stale memo.  x^2 must still find x^2 - z after
-    # an insert moves it.
+    # y - z, appended after it, has support {y}, which lies in it: the
+    # lookup must see it, though _interreduce would later repair a basis
+    # built from a stale memo.
     r = _ring(("x", "y", "z"))
     x, y, z = r.gens()
     pack = _packing(GREVLEX, 3)
     f = x**2 + x * y + z
-    for at in (0, 1):
-        index = _divisors([x**2 - z], pack)
-        assert r.poly(list(_index_divide(f, index)[0])) == x * y + 2 * z
-        assert index.memo
-        index.insert(at, _int_terms(y - z, pack)[0])
-        divisors = [x**2 - z, y - z] if at else [y - z, x**2 - z]
-        rem = _index_divide(f, index)[0]
-        assert rem == _oracle_remainder(f, divisors, GREVLEX)
-        assert r.poly(list(rem)) == x * z + 2 * z
+    index = _divisors([x**2 - z], pack)
+    assert r.poly(list(_index_divide(f, index)[0])) == x * y + 2 * z
+    assert index.memo
+    index.append(_int_terms(y - z, pack)[0])
+    rem = _index_divide(f, index)[0]
+    assert rem == _oracle_remainder(f, [x**2 - z, y - z], GREVLEX)
+    assert r.poly(list(rem)) == x * z + 2 * z
 
 
 def test_reducer_index_tests_every_reducer_of_a_shared_support():
@@ -314,7 +311,7 @@ def test_reducer_index_over_no_reducers():
     assert len(index) == 0
     f = x**2 * y + 3 * y - 1
     assert _index_divide(f, index)[0] == f.terms
-    index.insert(0, _int_terms(y + 1, pack)[0])
+    index.append(_int_terms(y + 1, pack)[0])
     assert r.poly(list(_index_divide(f, index)[0])) == -x**2 - 4
 
 
@@ -352,6 +349,30 @@ def test_normal_form_matches_division_oracle_at_index_scale():
             assert _index_divide(f, index)[0] == rem
             filtered += sum(c.bit_count() < len(index) for c in index.memo.values())
     assert filtered >= 200
+
+
+def test_reducer_index_appends_between_divisions():
+    # One index grows by appends while it divides, as in buchberger: after
+    # each append the kernel must agree with the oracle over the divisors
+    # so far, in list order, though the memo was filled before the append.
+    rng = random.Random(89)
+    orders = [LEX, GREVLEX, MonomialOrder.block(1), MonomialOrder.block(2)]
+    for _ in range(3):
+        for order in orders:
+            r = _ring(tuple(f"x_{k}" for k in range(rng.randint(5, 7))), order)
+            pack = _packing(order, r.nvars)
+            dividends = [_sparse_poly(r, rng, rng.randint(8, 20), 3) for _ in range(4)]
+            index = _Reducers(pack)
+            divisors = []
+            for _ in range(rng.randint(8, 16)):
+                g = _sparse_poly(r, rng, rng.randint(1, 3), 2)
+                if not g.terms:
+                    continue
+                index.append(_int_terms(g, pack)[0])
+                divisors.append(g)
+                for f in dividends:
+                    rem = _index_divide(f, index)[0]
+                    assert rem == _oracle_remainder(f, divisors, order)
 
 
 def test_exponent_overflow_trips_the_guardrail():
@@ -914,6 +935,14 @@ def test_parse_ideal_text_range_syntax():
     assert i.ring.order == GREVLEX
 
 
+@pytest.mark.parametrize("token", ["p_00..p_02", "p_0..p_02", "p_01..p_2", "x00..x2"])
+def test_parse_ideal_text_rejects_zero_padded_range(token):
+    # a range would respell its names (p_00..p_02 made p_0 p_1 p_2)
+    with pytest.raises(ParseError) as exc:
+        parse_ideal_text(f"ring {token}\n")
+    assert repr(token) in str(exc.value)
+
+
 def test_parse_ideal_text_order_line():
     i = parse_ideal_text("ring x y\norder lex\nx - y\n")
     assert i.ring.order == LEX
@@ -923,6 +952,18 @@ def test_parse_ideal_text_order_line():
     assert i.generators == _ideal(i.ring, "order_1*x - 1").generators
     with pytest.raises(InputError):
         parse_ideal_text("ring order_1 x\norder weird\norder_1*x - 1\n")
+
+
+def test_parse_ideal_text_ring_variable_named_order():
+    # with a variable named order, a first line that is no valid order
+    # line is a generator
+    i = parse_ideal_text("ring order x\norder - x\n")
+    assert i.ring.variables == ("order", "x")
+    assert i.ring.order == GREVLEX
+    assert i.generators == _ideal(i.ring, "order - x").generators
+    i = parse_ideal_text("ring order x\norder lex\norder*x - 1\n")
+    assert i.ring.order == LEX
+    assert i.generators == _ideal(i.ring, "order*x - 1").generators
 
 
 def test_parse_ideal_text_comments_and_blanks():
