@@ -1,8 +1,17 @@
 """Groebner bases and ideal arithmetic.
 
-The engine is Buchberger's algorithm with normal-pair selection (a
-degree-ordered queue) and the standard pair filters (product and chain
-criteria, applied Gebauer-Moeller style).  Every reduction, the public
+The engine has two loops that share one reduction kernel, one reducer
+index and one interreduction, so either gives the same reduced basis.
+Ideals through the origin (no generator with a constant term: the
+Lagrange eliminations, homogeneous and lattice ideals) take an
+incremental signature loop (Faugere's F5, 2002, in the framework of
+Gao, Volny and Wang, Math. Comp. 2016), which skips the pairs that
+would reduce to zero on a regular sequence.  The rest (the saturations
+with t*f - 1, the ML-degree fibers over an affine chart) take
+Buchberger's algorithm with normal-pair selection (a degree-ordered
+queue) and the standard pair filters (product and chain criteria,
+applied Gebauer-Moeller style); there signatures were measured and lose
+(see buchberger).  Every reduction, the public
 `normal_form` included, runs in one fraction-free kernel over integer
 terms; `normal_form` divides the kernel's remainder by the scale it
 accumulated.  The kernel keeps the part of the dividend still to be
@@ -36,6 +45,8 @@ Only candidates get the divisibility test, lowest list position first,
 so the reducer chosen is the one a scan of the whole list would choose.
 The index only grows at its end: in buchberger it is the basis itself,
 reducers in the order found, and the pair indices are its positions.
+In a signature step a reducer may carry a signature, and then it
+reduces a term only where the division stays regular (see _divide).
 
 The reduced basis handed back is monic over Q, sorted ascending by
 leading term, and therefore canonical for the ideal and order.
@@ -256,9 +267,11 @@ def _packing(order: MonomialOrder, n: int) -> _Packing:
 class _Reducers:
     """Kernel reducers in scan order, indexed by their leading terms' supports.
 
-    ``items`` holds (lt, lc, terms) per reducer.  ``miss[i]`` is a bitset
-    over list positions whose bit r is set when reducer r's leading term
-    does not involve variable i.  A reducer divides a term only if its
+    ``items`` holds (lt, lc, terms) per reducer, and ``sigs`` its
+    signature key in a signature step or None (see _divide).
+    ``miss[i]`` is a bitset over list positions whose bit r is set when
+    reducer r's leading term does not involve variable i.  A reducer
+    divides a term only if its
     leading term's support lies in the term's, so the candidates for a
     term of support s are the AND of ``miss[i]`` over the variables s
     lacks; ``candidates`` memoizes that bitset per support.  Reducers are
@@ -268,12 +281,13 @@ class _Reducers:
     match in list order.
     """
 
-    __slots__ = ("guard", "ones", "items", "miss", "memo")
+    __slots__ = ("guard", "ones", "items", "sigs", "miss", "memo")
 
     def __init__(self, pack: _Packing, term_lists=()):
         self.guard = pack.guard
         self.ones = pack.ones
         self.items = []
+        self.sigs = []
         self.miss = [0] * len(pack.weights)
         self.memo = {}
         for t in term_lists:
@@ -288,14 +302,19 @@ class _Reducers:
         flags = (self.guard ^ s) >> (_FIELD - 1)  # variable i's flag in bit 64*i
         return flags.to_bytes(len(self.miss) * (_FIELD // 8), "little")[:: _FIELD // 8]
 
-    def append(self, terms):
-        """Put the nonzero term list ``terms`` last, at list position len(self)."""
+    def append(self, terms, sig=None):
+        """Put the nonzero term list ``terms`` last, at list position len(self).
+
+        ``sig`` is the key int of its signature in a signature step (see
+        _signature_step), or None for a reducer that always reduces.
+        """
         lt = terms[0][1]
         bit = 1 << len(self.items)
         miss = self.miss
         for i in itertools.compress(range(len(miss)), self._absent((lt + self.ones) & self.guard)):
             miss[i] |= bit
         self.items.append((lt, terms[0][2], terms))
+        self.sigs.append(sig)
         self.memo.clear()
 
     def candidates(self, s: int) -> int:
@@ -305,6 +324,20 @@ class _Reducers:
             cand &= m
         self.memo[s] = cand
         return cand
+
+    def divides(self, m: int) -> bool:
+        """Whether some reducer's leading term divides the packed monomial m."""
+        s = (m + self.ones) & self.guard
+        cand = self.memo.get(s)
+        if cand is None:
+            cand = self.candidates(s)
+        items, guard = self.items, self.guard
+        while cand:
+            low = cand & -cand
+            if not (m - items[low.bit_length() - 1][0]) & guard:
+                return True
+            cand ^= low
+        return False
 
 
 def _normalize_content(terms):
@@ -366,7 +399,7 @@ def _combine(f, a, g, b):
     return out
 
 
-def _divide(p, reducers: _Reducers):
+def _divide(p, reducers: _Reducers, bound=None):
     """Fraction-free full division of packed term list p: the one reduction loop.
 
     Each leading remaining term is reduced by the first reducer in list
@@ -378,6 +411,11 @@ def _divide(p, reducers: _Reducers):
     and rem/scale the exact remainder of p.  A leading term with a guard
     bit set has an exponent above ring.MAX_EXPONENT, which no Polynomial
     may hold, and raises GuardrailError.
+
+    ``bound``, the key int of a signature, makes the division regular
+    (see _signature_step): a reducer with a signature may then reduce a
+    term only if the multiple's signature, shift times its own, is
+    smaller than the bound.  Reducers without one always may.
 
     The part of p not yet reduced or moved to rem is a sum of streams
     merged lazily in a max-heap (Johnson, "Sparse polynomial arithmetic",
@@ -403,7 +441,7 @@ def _divide(p, reducers: _Reducers):
     if not p:
         return rem, scale
     guard, ones, items, memo = reducers.guard, reducers.ones, reducers.items, reducers.memo
-    candidates = reducers.candidates
+    candidates, sigs = reducers.candidates, reducers.sigs
     streams = [[p, 0, 0, 0, 1]]  # [terms, position, exponent shift, -key shift, coefficient]
     heap = [-p[0][0]]  # negated keys, each once
     chains = {heap[0]: [0]}  # negated key -> ids of the streams whose next term has it
@@ -434,9 +472,12 @@ def _divide(p, reducers: _Reducers):
             cand = candidates(support)
         while cand:
             low = cand & -cand
-            lt, ltc, gterms = items[low.bit_length() - 1]
+            r = low.bit_length() - 1
+            lt, ltc, gterms = items[r]
             shift = lm - lt
-            if not shift & guard:
+            if not shift & guard and (
+                bound is None or sigs[r] is None or sigs[r] - nk - gterms[0][0] < bound
+            ):
                 break
             cand ^= low
         else:
@@ -515,11 +556,30 @@ def _interreduce(term_lists, pack: _Packing) -> _Reducers:
 def buchberger(ideal: Ideal) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal in its ring's order.
 
-    Deterministic and canonical: independent of generator order.  The
-    basis grows as one append-only reducer index (_Reducers), in the order
-    its elements are found, so a reduction here uses the first divisor
-    found, and an S-pair names its elements by list position.  The
-    returned basis is the interreduced one, ascending by leading term.
+    Deterministic and canonical: independent of generator order.  Two
+    loops compute a basis, and both hand it to _interreduce, so the
+    returned basis is the same reduced one, ascending by leading term,
+    whichever ran.
+
+    * When no generator outside the known prefix (below) has a constant
+      term, the signature loop runs (_signature_loop): incremental,
+      signature-based, so it skips the pairs that would reduce to zero
+      on a regular sequence.  The Lagrange eliminations, homogeneous
+      ideals and lattice ideals take it.
+    * Otherwise the pair loop runs (_pair_loop): Buchberger's pairs with
+      the product and chain criteria.  The saturations (t*f - 1), the
+      ML-degree fibers (the chart sum p - 1 and integer data) and the
+      intersections with constants take it.
+
+    The rule exists because the signature loop was measured on every
+    call.  On the first kind the pair loop's criteria keep many pairs
+    that reduce to zero (658 of 773 in the binary 3-chain's Lagrange
+    elimination), and the signature loop reduces none of them (135
+    reductions in all).  On the second kind it does not pay: over one
+    pass of the ML-degree benchmark, whose fibers lie on the affine
+    chart sum p = 1, it made 1027 reductions against the pair loop's 578
+    and took three times as long, and the saturations were no faster.
+    The test is one look at each generator's last term.
 
     When the ideal's leading generators are known to be a Groebner basis
     already (``saturate`` marks them so), they are registered as
@@ -527,18 +587,43 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     standard representation over them, so it counts as treated, and the
     Gebauer-Moeller criteria need no more (Gebauer and Moeller, "On an
     installation of Buchberger's algorithm", 1988).  Only pairs that
-    involve the other generators and what they add are formed.
+    involve the other generators and what they add are formed; the
+    signature loop starts its first step from them.
     """
     ring = ideal.ring
     order = ring.order
     pack = _packing(order, ring.nvars)
-    guard = pack.guard
     known = ideal._known
     inputs = [_primitive_terms(g, pack) for g in ideal.generators[known:]]
     inputs.sort(key=lambda t: (t[0][0], t))
-
-    # the basis, in the order found: pair indices are list positions
     basis = _divisors(ideal.generators[:known], pack)
+    # a term list is descending, so its last term is constant exactly when it has one
+    if any(not t[-1][1] for t in inputs):
+        reduced = _interreduce(_pair_loop(inputs, basis, pack), pack)
+    else:
+        reduced = _signature_loop(inputs, basis, pack)
+    unpack = pack.unpack
+    out = []
+    for _, lc, t in reduced.items:
+        out.append(
+            Polynomial._raw(ring, tuple((unpack(m), Fraction(c, lc)) for _, m, c in t))
+        )
+    gb = GroebnerBasis(ideal, out, order)
+    gb._reducers = reduced
+    return gb
+
+
+def _pair_loop(inputs, basis: _Reducers, pack: _Packing):
+    """Buchberger's pair loop: the term lists of a Groebner basis of basis + inputs.
+
+    The basis grows as one append-only reducer index (_Reducers), in the
+    order its elements are found, so a reduction here uses the first
+    divisor found, and an S-pair names its elements by list position.
+    Pairs go by degree, then by the key of their lcm (normal selection),
+    and the product and chain criteria drop pairs Gebauer-Moeller style.
+    Pairs among basis's own elements, the known prefix, are not formed.
+    """
+    guard = pack.guard
     items = basis.items
     pending: dict = {}  # (i, j) -> packed lcm of their leading monomials
     heap: list = []
@@ -584,16 +669,117 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
         if r:
             add_poly(r)
 
-    reduced = _interreduce([t for _, _, t in items], pack)
-    unpack = pack.unpack
-    out = []
-    for _, lc, t in reduced.items:
-        out.append(
-            Polynomial._raw(ring, tuple((unpack(m), Fraction(c, lc)) for _, m, c in t))
-        )
-    gb = GroebnerBasis(ideal, out, order)
-    gb._reducers = reduced
-    return gb
+    return [t for _, _, t in items]
+
+
+def _signature_loop(inputs, basis: _Reducers, pack: _Packing) -> _Reducers:
+    """Incremental signature loop: the interreduced basis of basis + inputs.
+
+    basis, a Groebner basis (the known prefix, perhaps empty), takes the
+    inputs one at a time.  Each input is reduced by the basis so far; if
+    it does not reduce to zero, one signature step (_signature_step)
+    finds what it adds, and the interreduced union is the basis for the
+    next input.
+    """
+    basis = _interreduce([t for _, _, t in basis.items], pack)
+    for f in inputs:
+        f = _reduce_full(f, basis)
+        if f:
+            step = _signature_step(f, basis, pack)
+            basis = _interreduce([t for _, _, t in basis.items] + step, pack)
+    return basis
+
+
+def _signature_step(f, basis: _Reducers, pack: _Packing):
+    """The term lists a signature-based loop adds to a Groebner basis B for B + (f).
+
+    This is the GVW framework (Gao, Volny and Wang, "A new framework for
+    computing Groebner bases", Math. Comp. 2016) in position-over-term
+    order, one generator at a time as in F5 (Faugere, 2002).  Every
+    element e of the step is a multiple of f, modulo the ideal of B,
+    with a leading monomial sig(e): its signature, a monomial with its
+    key int.  f itself has signature 1.  Elements of B have none and
+    reduce everything; a step element reduces a term, top or tail, only
+    if shift * sig < the signature of what is reduced (regular reduction,
+    the ``bound`` of _divide).  basis is B's reducer index; the step's
+    elements are appended to it, with their signature keys.
+
+    J-pairs go by increasing signature T, and at most one pair with a
+    given T is reduced: the one whose multiple has the smallest leading
+    monomial.  A pair is skipped when T is divisible by a known syzygy
+    signature: a leading monomial of B (the F5 criterion), a principal
+    syzygy max(lm(v) sig(q), lm(q) sig(v)) of two step elements, or the
+    signature of a reduction to zero.  It is also skipped when it is
+    covered: some step element g has sig(g) | T and
+    (T / sig(g)) lm(g) < the multiple's leading monomial.  A reduced pair
+    whose leading term a step element divides at signature exactly T is
+    dropped as redundant.  When no pair is left, B and the step's
+    elements are a Groebner basis of B + (f).
+    """
+    guard = pack.guard
+    items, sigs = basis.items, basis.sigs
+    nb = len(items)
+    # known syzygy signatures as one-term lists, first B's leading monomials (F5)
+    syz = _Reducers(pack, [[t[0]] for _, _, t in items])
+    sexps = {}  # position of a step element -> its packed signature
+    pending: dict = {}  # signature key -> (top key, signature, position, shift, shift key)
+    heap: list = []
+
+    def add(terms, se, sk):
+        new = len(items)
+        lk, lm = terms[0][0], terms[0][1]
+        for q in range(nb, new):
+            a, b = items[q][2][0][0] + sk, lk + sigs[q]
+            if a != b:  # principal syzygy of q and the new element
+                h = items[q][0] + se if a > b else lm + sexps[q]
+                if not syz.divides(h):
+                    syz.append([(0, h, 1)])
+        basis.append(terms, sk)
+        sexps[new] = se
+        for q in range(new):
+            lq, _, qterms = items[q]
+            l = pack.lcm(lq, lm)
+            if l == lq + lm:
+                continue  # coprime: a principal or an F5 syzygy has the signature
+            kl = pack.key(pack.unpack(l))
+            # the J-pair is the multiple of the side with the larger signature
+            tk, rec = kl - lk + sk, (kl, l - lm + se, new, l - lm, kl - lk)
+            if q >= nb:
+                tq = kl - qterms[0][0] + sigs[q]
+                if tq == tk:
+                    continue  # not a regular pair
+                if tq > tk:
+                    tk, rec = tq, (kl, l - lq + sexps[q], q, l - lq, kl - qterms[0][0])
+            old = pending.get(tk)
+            if old is not None and old[0] <= kl:
+                continue
+            if old is None:
+                heappush(heap, tk)
+            pending[tk] = rec
+
+    add(f, 0, 0)
+    while heap:
+        tk = heappop(heap)
+        top, t, i, shift, kshift = pending.pop(tk)
+        if syz.divides(t):
+            continue
+        if any(
+            not (t - se) & guard and tk - sigs[g] + items[g][2][0][0] < top
+            for g, se in sexps.items()
+        ):
+            continue  # covered
+        r = _normalize_content(_divide(_shifted(items[i][2], shift, kshift), basis, tk)[0])
+        if not r:
+            syz.append([(0, t, 1)])
+            continue
+        lk, lm = r[0][0], r[0][1]
+        if any(
+            not (lm - items[g][0]) & guard and lk - items[g][2][0][0] + sigs[g] == tk
+            for g in sexps
+        ):
+            continue  # singular top-reducible: redundant
+        add(r, t, tk)
+    return [t for _, _, t in items[nb:]]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,6 +23,7 @@ from algstat import (
     PolyMatrix,
     PolyRing,
     buchberger,
+    compute_lc_general,
     eliminate,
     format_ideal,
     ideal_contains,
@@ -31,6 +33,7 @@ from algstat import (
     krull_dimension,
     map_to_ring,
     minors,
+    ml_degree,
     mul_int_poly,
     normal_form,
     parse_ideal_text,
@@ -42,7 +45,17 @@ from algstat import (
     saturate_by_product,
 )
 import algstat.groebner
-from algstat.groebner import _Reducers, _divide, _divisors, _int_terms, _packing
+from algstat.groebner import (
+    _Reducers,
+    _divide,
+    _divisors,
+    _int_terms,
+    _interreduce,
+    _packing,
+    _pair_loop,
+    _primitive_terms,
+    _signature_loop,
+)
 from algstat.ring import MAX_EXPONENT
 
 
@@ -534,6 +547,162 @@ def test_ideal_equal():
     assert not ideal_equal(a, _ideal(r, "x"))
     with pytest.raises(ValueError):
         ideal_equal(a, _ideal(_ring(("x", "z")), "x"))
+
+
+# ------------------------------------------------------- the two loops
+
+
+def _loop_bases(ideal):
+    """The pair loop's and the signature loop's interreduced bases of an ideal.
+
+    The inputs are prepared as buchberger prepares them; each loop gets
+    its own index of the known prefix, since both append to it.  Also
+    returns the signature loop's regular reductions as one list per
+    step of (signature key, reduced to zero).
+    """
+    ring = ideal.ring
+    pack = _packing(ring.order, ring.nvars)
+    known = ideal._known
+    inputs = [_primitive_terms(g, pack) for g in ideal.generators[known:]]
+    inputs.sort(key=lambda t: (t[0][0], t))
+    pair = _interreduce(_pair_loop(inputs, _divisors(ideal.generators[:known], pack), pack), pack)
+    steps = []
+    original_step, original_divide = algstat.groebner._signature_step, algstat.groebner._divide
+
+    def step(*args):
+        steps.append([])
+        return original_step(*args)
+
+    def divide(p, reducers, bound=None):
+        rem, scale = original_divide(p, reducers, bound)
+        if bound is not None:
+            steps[-1].append((bound, not rem))
+        return rem, scale
+
+    algstat.groebner._signature_step, algstat.groebner._divide = step, divide
+    try:
+        sig = _signature_loop(inputs, _divisors(ideal.generators[:known], pack), pack)
+    finally:
+        algstat.groebner._signature_step = original_step
+        algstat.groebner._divide = original_divide
+    return [t for _, _, t in pair.items], [t for _, _, t in sig.items], steps
+
+
+def _monomials_by_key(order, n, keys):
+    """The exponent vectors with the given key ints, found degree by degree."""
+    pack = _packing(order, n)
+    wanted = set(keys)
+    out = {}
+    layer = {(0,) * n}
+    while wanted - out.keys():
+        assert len(out) < 10**5, "a key is no monomial's"
+        for m in layer:
+            out[pack.key(m)] = m
+        layer = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in layer for i in range(n)}
+    return out
+
+
+def _random_origin_poly(ring, rng, nterms, maxdeg, homogeneous):
+    """A polynomial without a constant term, homogeneous or not."""
+    terms = []
+    degree = rng.randint(1, maxdeg)
+    for _ in range(nterms):
+        m = [0] * ring.nvars
+        for _ in range(degree if homogeneous else rng.randint(1, maxdeg)):
+            m[rng.randrange(ring.nvars)] += 1
+        terms.append((tuple(m), rng.randint(-4, 4)))
+    return ring.poly(terms)
+
+
+def _lagrange_system(rng):
+    """u_i - p_i (l_0 + l_1 df/dp_i) and a random quadric f in p, under block(2)."""
+    names = ("l_0", "l_1", "p_0", "p_1", "p_2", "u_0", "u_1", "u_2")
+    r = _ring(names, MonomialOrder.block(2))
+    l0, l1, *rest = r.gens()
+    p, u = rest[:3], rest[3:]
+    f = r.zero()
+    for i in range(3):
+        for j in range(i, 3):
+            f = f + rng.randint(-3, 3) * p[i] * p[j]
+    gens = [u[i] - p[i] * (l0 + l1 * f.differentiate(2 + i)) for i in range(3)]
+    return Ideal(r, [f] + gens if f.terms else gens)
+
+
+def _origin_cases():
+    """Seeded ideals with no constant term: random ones under four orders,
+    small Lagrange systems, and random ones after a known prefix."""
+    rng = random.Random(97)
+    orders = [GREVLEX, LEX, MonomialOrder.block(1), MonomialOrder.block(2)]
+    for _ in range(8):
+        for order in orders:
+            r = _ring(tuple(f"x_{k}" for k in range(rng.randint(3, 4))), order)
+            homogeneous = rng.random() < 0.5
+            gens = [
+                _random_origin_poly(r, rng, rng.randint(2, 4), 3, homogeneous)
+                for _ in range(rng.randint(2, 4))
+            ]
+            yield Ideal(r, gens)
+    for _ in range(4):
+        yield _lagrange_system(rng)
+    for order in orders:
+        r = _ring(("x_0", "x_1", "x_2"), order)
+        first = [_random_origin_poly(r, rng, 3, 2, True) for _ in range(2)]
+        gb = Ideal(r, first).groebner().basis
+        rest = [_random_origin_poly(r, rng, 3, 3, False) for _ in range(2)]
+        ideal = Ideal(r, list(gb) + rest)
+        ideal._known = len(gb)
+        yield ideal
+
+
+def test_signature_loop_matches_the_pair_loop():
+    # The pair loop is the reference: on ideals through the origin both
+    # loops must give the same reduced basis.  Within a step, the
+    # signature of a reduction to zero is a syzygy signature, so no later
+    # pair whose signature it divides may be reduced.
+    zeros = regular = 0
+    for ideal in _origin_cases():
+        assert ideal.generators
+        pair, sig, steps = _loop_bases(ideal)
+        assert sig == pair
+        # a known prefix saves work but does not change the basis
+        assert ideal.groebner().basis == buchberger(Ideal(ideal.ring, ideal.generators)).basis
+        keys = [key for step in steps for key, _ in step]
+        monomials = _monomials_by_key(ideal.ring.order, ideal.ring.nvars, keys)
+        for step in steps:
+            syzygies = []
+            for key, zero in step:
+                t = monomials[key]
+                assert not any(all(map(le, h, t)) for h in syzygies)
+                if zero:
+                    syzygies.append(t)
+                    zeros += 1
+                regular += 1
+    # the cases reach both kinds of step
+    assert regular >= 150 and zeros >= 20
+
+
+def test_the_constant_term_rule_chooses_the_loop(monkeypatch, hw_ideal):
+    # Ideals through the origin take the signature loop, the rest the
+    # pair loop: a Lagrange elimination (2 multipliers, 3 + 3 variables)
+    # takes the first, a saturation (t*f - 1) and an ML-degree fiber (the
+    # chart sum p - 1 and integer data, 2 + 3 variables) the second.
+    calls = []
+    for name in ("_pair_loop", "_signature_loop"):
+        loop = getattr(algstat.groebner, name)
+
+        def spy(inputs, basis, pack, loop=loop, name=name):
+            calls.append((name, len(pack.weights)))
+            return loop(inputs, basis, pack)
+
+        monkeypatch.setattr(algstat.groebner, name, spy)
+    compute_lc_general(hw_ideal)
+    assert ("_signature_loop", 8) in calls and ("_pair_loop", 8) not in calls
+    calls.clear()
+    saturate(hw_ideal, hw_ideal.ring.gens()[0])
+    assert calls == [("_pair_loop", 4)]
+    calls.clear()
+    ml_degree(hw_ideal, trials=1)
+    assert {name for name, n in calls if n == 5} == {"_pair_loop"}
 
 
 # ------------------------------------------------------------- eliminate

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +26,8 @@ from algstat import (
     format_ideal,
     ideal_contains,
     ideal_equal,
+    integer_kernel,
+    krull_dimension,
     lc_ring,
     map_to_ring,
     ml_degree,
@@ -322,6 +325,62 @@ def test_lc_general_mle_zeroes_generators(hw_ideal):
         }
         for g in lc.generators:
             assert g.substitute(values).is_zero()
+
+
+def _at(g, point):
+    """The value of g at a rational point given by one value per ring variable."""
+    return sum(c * prod(x**e for x, e in zip(point, m) if e) for m, c in g.terms)
+
+
+def _rational(rng, lo=1):
+    return Fraction(rng.randint(lo, 9), rng.randint(1, 9))
+
+
+def _toric_data(a, p, rng):
+    """u = mu p + v with A v = 0: data whose MLE on the toric model X_A is p."""
+    kernel = integer_kernel(a)
+    mu = _rational(rng)
+    coeffs = [rng.randint(-5, 5) for _ in range(kernel.nrows)]
+    return [mu * p[j] + sum(c * kernel[k, j] for k, c in enumerate(coeffs)) for j in range(a.ncols)]
+
+
+def _lagrange_data(ideal, p, rng):
+    """u_i = p_i (mu + sum_j lam_j df_j/dp_i) at a point p of the model ideal's zeros."""
+    n = ideal.ring.nvars
+    mu = _rational(rng)
+    lam = [_rational(rng, -9) for _ in ideal.generators]
+    grads = [[g.differentiate(i) for i in range(n)] for g in ideal.generators]
+    return [
+        p[i] * (mu + sum(l * _at(d[i], p) for l, d in zip(lam, grads))) for i in range(n)
+    ]
+
+
+def test_correspondences_vanish_at_points_built_without_groebner_bases(corpus, hw_ideal):
+    # Points (p, u) on the correspondence come from the model alone, with
+    # no Groebner basis: p from a parametrization, on the torus, and u of
+    # either kind.  For toric input u = mu p + v with A v = 0; for ideal
+    # input u_i = p_i (mu + sum_j lam_j df_j/dp_i), where Euler's relation
+    # makes sum u / sum p = mu, so p is critical for u.  Both construction
+    # paths must vanish at both kinds of point, which catches an ideal too
+    # large; its dimension n + 2 catches one too small.
+    rng = random.Random(101)
+    conic = IntMatrix([[1, 1, 1], [0, 1, 2]])
+    models = [(name, a, toric_ideal(a), [1] * a.ncols) for name, a in corpus]
+    models.append(("scaled conic", conic, hw_ideal, [1, 2, 1]))
+    for name, a, ideal, scaling in models:
+        points = []
+        for _ in range(3):
+            theta = [_rational(rng) for _ in range(a.nrows)]
+            p = [c * prod(t ** a[i, j] for i, t in enumerate(theta)) for j, c in enumerate(scaling)]
+            assert not any(_at(g, p) for g in ideal.generators)
+            points += [p + _toric_data(a, p, rng), p + _lagrange_data(ideal, p, rng)]
+        lcs = [compute_lc_general(ideal)]
+        if scaling == [1] * a.ncols:
+            lcs.append(compute_lc_toric(a))
+        for lc in lcs:
+            for point in points:
+                assert not any(_at(g, point) for g in lc.generators), (name, lc.mode)
+            assert krull_dimension(lc.ideal().groebner()) == a.ncols + 1, (name, lc.mode)
 
 
 # ---------------------------------------------------------------- dispatch

@@ -1,7 +1,9 @@
 """Reduced Groebner bases and normal forms checked against sympy.
 
 Seeded small ideals (3 variables, degree <= 2, at most 3 generators)
-keep sympy's running time to about a second.
+keep sympy's running time to about a second.  A second set has 4
+variables and no constant term, under four orders, block orders
+included, so it checks the signature loop that such ideals take.
 """
 
 import random
@@ -9,12 +11,14 @@ from fractions import Fraction
 
 import pytest
 
-from algstat import GREVLEX, LEX, Ideal, PolyRing, normal_form
+from algstat import GREVLEX, LEX, Ideal, MonomialOrder, PolyRing, normal_form
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 
 NAMES = ("x", "y", "z")
 SYMBOLS = sympy.symbols(NAMES)
+SYMBOLS4 = sympy.symbols(("x", "y", "z", "w"))
 
 
 def _random_poly(ring, rng, nterms, maxdeg, mindeg=0):
@@ -27,11 +31,11 @@ def _random_poly(ring, rng, nterms, maxdeg, mindeg=0):
     return ring.poly(terms)
 
 
-def _to_sympy(f):
+def _to_sympy(f, symbols=SYMBOLS):
     return sum(
         (
             sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*(s**e for s, e in zip(SYMBOLS, m)))
+            * sympy.Mul(*(s**e for s, e in zip(symbols, m)))
             for m, c in f.terms
         ),
         sympy.Integer(0),
@@ -42,9 +46,9 @@ def _fraction(c):
     return Fraction(int(c.p), int(c.q))
 
 
-def _from_sympy(expr, scale=Fraction(1)):
+def _from_sympy(expr, scale=Fraction(1), symbols=SYMBOLS):
     """The exponent/coefficient dict of a sympy expression, divided by scale."""
-    poly = sympy.Poly(expr, *SYMBOLS)
+    poly = sympy.Poly(expr, *symbols)
     return {m: _fraction(c) / scale for m, c in poly.terms() if c}
 
 
@@ -62,6 +66,18 @@ def _seeded_cases(order, seed, count=25):
         yield ideal, probes
 
 
+def _sympy_basis(ideal, symbols, order):
+    """sympy's reduced basis, and its elements made monic, as sorted lists of dict items."""
+    theirs = sympy.groebner([_to_sympy(g, symbols) for g in ideal.generators], *symbols, order=order)
+    # sympy's basis is reduced but not monic; Poly.monic would use lex,
+    # so scale by the leading coefficient in the order itself
+    expected = sorted(
+        sorted(_from_sympy(g, _fraction(sympy.LC(g, *symbols, order=order)), symbols).items())
+        for g in theirs.exprs
+    )
+    return theirs, expected
+
+
 @pytest.mark.parametrize(
     "order, name, seed", [(GREVLEX, "grevlex", 71), (LEX, "lex", 73)]
 )
@@ -71,16 +87,44 @@ def test_groebner_and_normal_form_match_sympy(order, name, seed):
         if not ideal.generators:
             assert ours.basis == ()
             continue
-        theirs = sympy.groebner(
-            [_to_sympy(g) for g in ideal.generators], *SYMBOLS, order=name
-        )
-        # sympy's basis is reduced but not monic; Poly.monic would use lex,
-        # so scale by the leading coefficient in the order itself
-        expected = sorted(
-            sorted(_from_sympy(g, _fraction(sympy.LC(g, *SYMBOLS, order=name))).items())
-            for g in theirs.exprs
-        )
+        theirs, expected = _sympy_basis(ideal, SYMBOLS, name)
         assert sorted(sorted(dict(g.terms).items()) for g in ours.basis) == expected
         for f in probes:
             _, r = sympy.reduced(_to_sympy(f), theirs.exprs, *SYMBOLS, order=name)
             assert dict(normal_form(f, ours).terms) == _from_sympy(r)
+
+
+def _block(k):
+    """sympy's form of MonomialOrder.block(k): grevlex on the first k, then on the rest."""
+    return ProductOrder((grevlex, lambda m: m[:k]), (grevlex, lambda m: m[k:]))
+
+
+@pytest.mark.parametrize(
+    "order, sympy_order, seed",
+    [
+        (GREVLEX, "grevlex", 79),
+        (LEX, "lex", 83),
+        (MonomialOrder.block(1), _block(1), 89),
+        (MonomialOrder.block(2), _block(2), 97),
+    ],
+    ids=["grevlex", "lex", "block1", "block2"],
+)
+def test_bases_of_ideals_through_the_origin_match_sympy(order, sympy_order, seed):
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z", "w"), order)
+    for _ in range(6):
+        gens = []
+        for _ in range(3):
+            if rng.random() < 0.5:
+                d = rng.randint(2, 3)  # a homogeneous generator
+                gens.append(_random_poly(ring, rng, rng.randint(2, 4), d, mindeg=d))
+            else:
+                gens.append(_random_poly(ring, rng, rng.randint(2, 4), 3, mindeg=1))
+        ideal = Ideal(ring, gens)
+        # every term has degree >= 1, so buchberger takes its signature loop
+        assert all(sum(m) for g in ideal.generators for m, _ in g.terms)
+        if not ideal.generators:
+            continue
+        _, expected = _sympy_basis(ideal, SYMBOLS4, sympy_order)
+        ours = ideal.groebner()
+        assert sorted(sorted(dict(g.terms).items()) for g in ours.basis) == expected
