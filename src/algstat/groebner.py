@@ -7,11 +7,11 @@ Lagrange eliminations, homogeneous and lattice ideals) take an
 incremental signature loop (Faugere's F5, 2002, in the framework of
 Gao, Volny and Wang, Math. Comp. 2016), which skips the pairs that
 would reduce to zero on a regular sequence.  The rest (the saturations
-with t*f - 1, the ML-degree fibers over an affine chart) take
-Buchberger's algorithm with normal-pair selection (a degree-ordered
-queue) and the standard pair filters (product and chain criteria,
-applied Gebauer-Moeller style); there signatures were measured and lose
-(see buchberger).  Every reduction, the public
+that do change their ideal, with t*f - 1, and the ML-degree fibers over
+an affine chart) take Buchberger's algorithm with normal-pair selection
+(a degree-ordered queue) and the standard pair filters (product and
+chain criteria, applied Gebauer-Moeller style); there signatures were
+measured and lose (see buchberger).  Every reduction, the public
 `normal_form` included, runs in one fraction-free kernel over integer
 terms; `normal_form` divides the kernel's remainder by the scale it
 accumulated.  The kernel keeps the part of the dividend still to be
@@ -52,8 +52,13 @@ The reduced basis handed back is monic over Q, sorted ascending by
 leading term, and therefore canonical for the ideal and order.
 
 A known basis is not computed twice.  An elimination under grevlex
-returns its reduced basis as the result's cached basis, and a
-saturation of a grevlex ideal whose basis G is cached runs Buchberger on
+returns its reduced basis as the result's cached basis.  A saturation of
+a grevlex ideal I whose basis G is cached first runs one signature step
+for G + (f) (see saturate).  If it makes no reduction to zero, then
+I : f = I (Gao, Volny and Wang, 2016), the saturation is I, and G is
+returned as it stands: no auxiliary variable, no block order, no
+elimination.  Most saturations on the toric path are of this kind: the
+multiplier is already a nonzerodivisor.  Otherwise it runs Buchberger on
 G + (t*f - 1) without forming S-pairs within G (Gebauer and Moeller,
 1988).  That is exact because block(1) restricted to t-free monomials is
 grevlex: G stays a Groebner basis after t is added, so each pair within
@@ -690,7 +695,7 @@ def _signature_loop(inputs, basis: _Reducers, pack: _Packing) -> _Reducers:
     return basis
 
 
-def _signature_step(f, basis: _Reducers, pack: _Packing):
+def _signature_step(f, basis: _Reducers, pack: _Packing, stop=False):
     """The term lists a signature-based loop adds to a Groebner basis B for B + (f).
 
     This is the GVW framework (Gao, Volny and Wang, "A new framework for
@@ -707,14 +712,21 @@ def _signature_step(f, basis: _Reducers, pack: _Packing):
     J-pairs go by increasing signature T, and at most one pair with a
     given T is reduced: the one whose multiple has the smallest leading
     monomial.  A pair is skipped when T is divisible by a known syzygy
-    signature: a leading monomial of B (the F5 criterion), a principal
-    syzygy max(lm(v) sig(q), lm(q) sig(v)) of two step elements, or the
-    signature of a reduction to zero.  It is also skipped when it is
-    covered: some step element g has sig(g) | T and
-    (T / sig(g)) lm(g) < the multiple's leading monomial.  A reduced pair
-    whose leading term a step element divides at signature exactly T is
-    dropped as redundant.  When no pair is left, B and the step's
-    elements are a Groebner basis of B + (f).
+    signature: a leading monomial of B (the F5 criterion) or the signature
+    of a reduction to zero.  It is also skipped when it is covered: some
+    step element g has sig(g) | T and (T / sig(g)) lm(g) < the multiple's
+    leading monomial.  A reduced pair whose leading term a step element
+    divides at signature exactly T is dropped as redundant.  When no pair
+    is left, B and the step's elements are a Groebner basis of B + (f).
+
+    A syzygy signature is the leading monomial of some u with u*f in the
+    ideal of B, that is of an element of B : f.  The principal syzygy
+    e'u - eu' of two step elements, with u*f = e and u'*f = e' modulo B,
+    lies in B's ideal itself, so its signature, where the two products
+    do not cancel, is a leading monomial of B: the F5 criterion already
+    holds it, and so it is not kept.  With ``stop`` the step returns None
+    at its first reduction to zero, whose signature B's leading
+    monomials do not divide: u is then not in B's ideal (see saturate).
     """
     guard = pack.guard
     items, sigs = basis.items, basis.sigs
@@ -728,19 +740,13 @@ def _signature_step(f, basis: _Reducers, pack: _Packing):
     def add(terms, se, sk):
         new = len(items)
         lk, lm = terms[0][0], terms[0][1]
-        for q in range(nb, new):
-            a, b = items[q][2][0][0] + sk, lk + sigs[q]
-            if a != b:  # principal syzygy of q and the new element
-                h = items[q][0] + se if a > b else lm + sexps[q]
-                if not syz.divides(h):
-                    syz.append([(0, h, 1)])
         basis.append(terms, sk)
         sexps[new] = se
         for q in range(new):
             lq, _, qterms = items[q]
             l = pack.lcm(lq, lm)
             if l == lq + lm:
-                continue  # coprime: a principal or an F5 syzygy has the signature
+                continue  # coprime: T is a principal syzygy's, or B's, so F5 holds it
             kl = pack.key(pack.unpack(l))
             # the J-pair is the multiple of the side with the larger signature
             tk, rec = kl - lk + sk, (kl, l - lm + se, new, l - lm, kl - lk)
@@ -770,6 +776,8 @@ def _signature_step(f, basis: _Reducers, pack: _Packing):
             continue  # covered
         r = _normalize_content(_divide(_shifted(items[i][2], shift, kshift), basis, tk)[0])
         if not r:
+            if stop:
+                return None
             syz.append([(0, t, 1)])
             continue
         lk, lm = r[0][0], r[0][1]
@@ -927,20 +935,47 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
 
     t is a fresh auxiliary variable, so the ring may use any names.  When
     the ring is grevlex and I's reduced basis G is already known (I came
-    from ``eliminate`` or ``groebner()`` was called on it), the ideal is
-    G + (t*f - 1) and Buchberger forms no S-pair within G.  This is exact:
-    block(1) restricted to t-free monomials is grevlex, so G stays a
-    Groebner basis of I*Q[t, x], and every pair within G has a standard
-    representation over it.  Under any other order G would not be a
-    basis for block(1), and I is saturated from its generators.  The
-    result is the same reduced basis either way.
+    from ``eliminate`` or ``groebner()`` was called on it), two things
+    change.
+
+    First, a saturation that changes nothing is proved so by one signature
+    step, with no auxiliary variable and no elimination (_colon_is_trivial).
+    Let r be the remainder of f on division by G.  If r is nonzero and has
+    no constant term, one step of the signature loop (_signature_step) runs
+    for G + (r) in the ring's own order.  Each reduction to zero in it has
+    a signature that no leading monomial of G divides, and that signature
+    is the leading monomial of some u with u*r, and so u*f, in I: an
+    element of I : f outside I.  When the step ends, the leading
+    monomials of G and those signatures generate the leading ideal of
+    I : f (Gao, Volny and Wang, "A new framework for computing Groebner
+    bases", Math. Comp. 2016; Gao, Guan and Volny, "A new incremental
+    algorithm for computing Groebner bases", ISSAC 2010, where I : f is
+    a by-product of this step).  So if the step made no reduction to
+    zero, I : f has the leading ideal of I and contains I, so it is I,
+    and so is I : f^k for every k: the result is G itself.  The step
+    stops at its first reduction to zero, since the saturation is then
+    larger than I, and the elimination below runs.
+
+    Second, the elimination starts from G + (t*f - 1), and Buchberger
+    forms no S-pair within G.  This is exact: block(1) restricted to
+    t-free monomials is grevlex, so G stays a Groebner basis of I*Q[t, x],
+    and every pair within it has a standard representation over it.
+    Under any other order G would not be a basis for block(1), and I is
+    saturated from its generators.  The result is the same reduced basis
+    in every case.
     """
     ring = ideal.ring
     if f.ring != ring:
         raise ValueError("polynomial lives in a different ring")
     if not f.terms:
         raise ValueError("cannot saturate by the zero polynomial")
-    known = ideal._gb.basis if ideal._gb is not None and ring.order == GREVLEX else ()
+    gb = ideal._gb if ring.order == GREVLEX else None
+    if gb is not None and _colon_is_trivial(gb, f):
+        out = Ideal(ring, gb.basis)
+        out._gb = GroebnerBasis(out, gb.basis, GREVLEX)
+        out._gb._reducers = gb._reducers
+        return out
+    known = gb.basis if gb is not None else ()
 
     def build(aux, _):
         t = aux[0]
@@ -948,6 +983,25 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
         return [map_to_ring(g, t.ring) for g in rest] + [t * map_to_ring(f, t.ring) - 1]
 
     return _eliminate_auxiliary(ring, 1, build, known)
+
+
+def _colon_is_trivial(gb: GroebnerBasis, f: Polynomial) -> bool:
+    """Whether one signature step proves I : f = I for I with reduced basis gb.
+
+    False when it finds an element of I : f outside I, and when it is not
+    tried: f in I (I : f is the unit ideal), or a remainder with a
+    constant term, which the signature loop's rule leaves to the pair
+    loop (see buchberger).  The step appends to a fresh reducer index, so
+    the basis's own index, which normal_form scans, stays as it is.
+    """
+    pack = _packing(gb.order, gb.ring.nvars)
+    if gb._reducers is None:
+        gb._reducers = _divisors(gb.basis, pack)
+    r = _reduce_full(_primitive_terms(f, pack), gb._reducers)
+    if not r or not r[-1][1]:
+        return False
+    index = _Reducers(pack, [t for _, _, t in gb._reducers.items])
+    return _signature_step(r, index, pack, stop=True) is not None
 
 
 def saturate_by_product(ideal: Ideal, factors) -> Ideal:

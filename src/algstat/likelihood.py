@@ -124,7 +124,10 @@ def compute_lc_toric(model, saturation: str = "hyperplane") -> LikelihoodIdeal:
     base) and misses prod p (p = u = (1, ..., 1) lies on it), so the p_i
     saturations would leave it as it is.  ``saturation="full"`` is the
     reference that runs them anyway, at sum p and then at every p_i; it
-    gives the same ideal.
+    gives the same ideal.  There each p_i saturation starts from the
+    cached basis of the one before, and p_i is a nonzerodivisor modulo
+    it, so saturate proves it trivial with one signature step and runs
+    no elimination.
     """
     if saturation not in ("full", "hyperplane"):
         raise InputError("saturation mode must be 'full' or 'hyperplane'")

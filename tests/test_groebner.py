@@ -685,7 +685,9 @@ def test_the_constant_term_rule_chooses_the_loop(monkeypatch, hw_ideal):
     # Ideals through the origin take the signature loop, the rest the
     # pair loop: a Lagrange elimination (2 multipliers, 3 + 3 variables)
     # takes the first, a saturation (t*f - 1) and an ML-degree fiber (the
-    # chart sum p - 1 and integer data, 2 + 3 variables) the second.
+    # chart sum p - 1 and integer data, 2 + 3 variables) the second.  A
+    # saturation of an ideal whose basis is cached, by a nonzerodivisor,
+    # is proved trivial by one signature step and runs neither loop.
     calls = []
     for name in ("_pair_loop", "_signature_loop"):
         loop = getattr(algstat.groebner, name)
@@ -698,7 +700,11 @@ def test_the_constant_term_rule_chooses_the_loop(monkeypatch, hw_ideal):
     compute_lc_general(hw_ideal)
     assert ("_signature_loop", 8) in calls and ("_pair_loop", 8) not in calls
     calls.clear()
-    saturate(hw_ideal, hw_ideal.ring.gens()[0])
+    p_0 = hw_ideal.ring.gens()[0]
+    assert hw_ideal._gb is not None  # cached by compute_lc_general's model check
+    assert saturate(hw_ideal, p_0).generators == hw_ideal.groebner().basis
+    assert calls == []
+    saturate(Ideal(hw_ideal.ring, hw_ideal.generators), p_0)
     assert calls == [("_pair_loop", 4)]
     calls.clear()
     ml_degree(hw_ideal, trials=1)
@@ -915,6 +921,17 @@ def _grevlex_ideal_and_multiplier(draw):
     return Ideal(r, gens), f
 
 
+def _expected_known_counts(basis, f, saturated):
+    """What _known_counts records for a saturate of an ideal whose reduced
+    basis ``basis`` is cached: nothing when one signature step proves the
+    saturation trivial, else one elimination from the basis.  The step is
+    tried when f's remainder is nonzero with no constant term, and it
+    proves the saturation trivial exactly when it is."""
+    r = normal_form(f, basis)
+    tried = r.terms and all(any(m) for m, _ in r.terms)
+    return [] if tried and saturated == basis else [len(basis)]
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(_grevlex_ideal_and_multiplier())
 def test_saturate_from_a_known_basis_matches_saturate_from_generators(case):
@@ -923,13 +940,17 @@ def test_saturate_from_a_known_basis_matches_saturate_from_generators(case):
     gb = ideal.groebner()
     with _known_counts() as seen:
         seeded = saturate(ideal, f)
-    assert seen == [len(gb.basis)]
+    assert seen == _expected_known_counts(gb.basis, f, plain.generators)
     assert seeded.generators == plain.generators
-    # the saturation carries its basis, so the next one starts from it too
+    # the saturation carries its basis, so the next one starts from it too;
+    # saturating again changes nothing, so the step proves that unless
+    # the remainder of f is zero or has a constant term
+    again_plain = saturate(Ideal(ideal.ring, seeded.generators), f)
+    assert seeded._gb is not None and seeded._gb.basis == seeded.generators
     with _known_counts() as seen:
         again = saturate(seeded, f)
-    assert seen == [len(seeded.generators)]
-    assert again.generators == saturate(Ideal(ideal.ring, seeded.generators), f).generators
+    assert seen == _expected_known_counts(seeded.generators, f, again_plain.generators)
+    assert again.generators == again_plain.generators == seeded.generators
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -943,6 +964,102 @@ def test_eliminate_attaches_its_reduced_basis_under_grevlex(case, k):
     with _known_counts() as seen:
         assert out.groebner() is out._gb
     assert seen == []
+
+
+def _random_term_poly(r, rng, nterms, degree, homogeneous):
+    terms = []
+    for _ in range(nterms):
+        exps = [0] * r.nvars
+        for _ in range(degree if homogeneous else rng.randint(0, degree)):
+            exps[rng.randrange(r.nvars)] += 1
+        terms.append((tuple(exps), rng.randint(-3, 3)))
+    return r.poly(terms)
+
+
+def _certificate_cases():
+    """Named ideals and multipliers, then seeded random ones, homogeneous or not."""
+    r = _ring(("x", "y", "z"))
+    x = r.gens()[0]
+    yield _ideal(r, "x*y - z^2", "y^3 - x"), parse_polynomial("x*y - z^2", r)  # f in I
+    yield _ideal(r, "x^2 - y"), parse_polynomial("x^2 + 1", r)  # remainder y + 1
+    yield _ideal(r, "x*y + x"), parse_polynomial("x*z + y + 1", r)  # remainder y + 1
+    yield _ideal(r, "4*x*z - y^2"), r.sum_of_gens()  # the conic at sum p
+    yield _ideal(r, "x^2 + x*y + x*z", "x*y + y^2 + y*z"), r.sum_of_gens()
+    yield _ideal(r, "x*y - z^2"), x  # a variable, a nonzerodivisor
+    yield _ideal(r, "x*y", "x*z"), x  # a variable, a zero divisor
+    rng = random.Random(61)
+    for _ in range(120):
+        n = rng.randint(2, 4)
+        r = _ring(tuple(f"x_{k}" for k in range(n)))
+        homogeneous = rng.random() < 0.5
+        degree = rng.randint(1, 3)
+        gens = [
+            _random_term_poly(r, rng, rng.randint(1, 3), degree, homogeneous)
+            for _ in range(rng.randint(1, 3))
+        ]
+        pick = rng.random()
+        if pick < 0.3:
+            f = rng.choice(r.gens())
+        elif pick < 0.45:
+            f = r.sum_of_gens()
+        else:
+            f = _random_term_poly(r, rng, rng.randint(1, 3), rng.randint(1, 2), homogeneous)
+        ideal = Ideal(r, gens)
+        if ideal.generators and f.terms:
+            yield ideal, f
+
+
+def test_one_signature_step_certifies_trivial_saturations_only():
+    # the step's claim checked against the elimination in both directions:
+    # a proof of I : f = I gives I, and an early exit means the saturation
+    # is strictly larger than I
+    routes = {"proved": 0, "larger": 0, "unit": 0, "constant term": 0}
+    for ideal, f in _certificate_cases():
+        gb = ideal.groebner()
+        plain = saturate(Ideal(ideal.ring, ideal.generators), f)  # no basis cached
+        r = normal_form(f, gb)
+        with _known_counts() as seen:
+            sat = saturate(ideal, f)
+        assert sat.generators == plain.generators
+        if not r.terms:
+            routes["unit"] += 1
+            assert not algstat.groebner._colon_is_trivial(gb, f)
+            assert [print_polynomial(g) for g in plain.generators] == ["1"]
+            assert seen == [len(gb.basis)]
+        elif not all(any(m) for m, _ in r.terms):
+            routes["constant term"] += 1
+            assert not algstat.groebner._colon_is_trivial(gb, f)
+            assert seen == [len(gb.basis)]
+        elif algstat.groebner._colon_is_trivial(gb, f):
+            routes["proved"] += 1
+            assert ideal_equal(ideal, plain) and plain.generators == gb.basis
+            assert seen == [] and sat._gb.basis == gb.basis
+        else:
+            routes["larger"] += 1
+            assert all(ideal_contains(plain, g) for g in ideal.generators)
+            assert not ideal_equal(ideal, plain)
+            assert seen == [len(gb.basis)]
+    assert routes["proved"] >= 30 and routes["larger"] >= 20
+    assert routes["unit"] >= 1 and routes["constant term"] >= 2
+
+
+def test_a_saturation_leaves_the_cached_reducer_index_alone():
+    # the signature step appends to a fresh index, not to the one that
+    # normal_form scans, whether it proves the saturation trivial or not
+    r = _ring(("x", "y", "z"))
+    probes = [parse_polynomial(t, r) for t in ("x^3*y*z + y^2", "x*y*z^2 - 3", "z^4 + x*y^3")]
+    for gens, f, trivial in (
+        (("x*y - z^2", "y^3 - x*z^2"), "x + y + z", True),
+        (("x*y", "x*z"), "x", False),
+    ):
+        ideal = _ideal(r, *gens)
+        gb = ideal.groebner()
+        before = [normal_form(g, gb) for g in probes]
+        size = len(gb._reducers)
+        sat = saturate(ideal, parse_polynomial(f, r))
+        assert (sat.generators == gb.basis) is trivial
+        assert len(gb._reducers) == size and gb._reducers.sigs == [None] * size
+        assert [normal_form(g, gb) for g in probes] == before
 
 
 def test_saturate_ignores_a_basis_cached_under_another_order():

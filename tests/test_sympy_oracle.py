@@ -3,7 +3,9 @@
 Seeded small ideals (3 variables, degree <= 2, at most 3 generators)
 keep sympy's running time to about a second.  A second set has 4
 variables and no constant term, under four orders, block orders
-included, so it checks the signature loop that such ideals take.
+included, so it checks the signature loop that such ideals take.  A
+third set checks saturations of homogeneous ideals against sympy's own
+elimination of t from I + (t*f - 1), on both of saturate's routes.
 """
 
 import random
@@ -11,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from algstat import GREVLEX, LEX, Ideal, MonomialOrder, PolyRing, normal_form
+import algstat.groebner
+from algstat import GREVLEX, LEX, Ideal, MonomialOrder, PolyRing, normal_form, saturate
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
@@ -50,6 +53,11 @@ def _from_sympy(expr, scale=Fraction(1), symbols=SYMBOLS):
     """The exponent/coefficient dict of a sympy expression, divided by scale."""
     poly = sympy.Poly(expr, *symbols)
     return {m: _fraction(c) / scale for m, c in poly.terms() if c}
+
+
+def _from_poly(expr, ring, symbols):
+    """A sympy expression as a polynomial of ring."""
+    return ring.poly(list(_from_sympy(expr, symbols=symbols).items()))
 
 
 def _seeded_cases(order, seed, count=25):
@@ -128,3 +136,50 @@ def test_bases_of_ideals_through_the_origin_match_sympy(order, sympy_order, seed
         _, expected = _sympy_basis(ideal, SYMBOLS4, sympy_order)
         ours = ideal.groebner()
         assert sorted(sorted(dict(g.terms).items()) for g in ours.basis) == expected
+
+
+def test_saturations_match_sympy_elimination(monkeypatch):
+    # each ideal's grevlex basis is cached first, so saturate may prove a
+    # saturation trivial with one signature step; record which way it went
+    proved = []
+    colon_is_trivial = algstat.groebner._colon_is_trivial
+
+    def spy(gb, f):
+        proved.append(colon_is_trivial(gb, f))
+        return proved[-1]
+
+    monkeypatch.setattr(algstat.groebner, "_colon_is_trivial", spy)
+    rng = random.Random(101)
+    t = sympy.Symbol("t")
+    for _ in range(16):
+        n = rng.randint(3, 4)
+        ring = PolyRing(("x", "y", "z", "w")[:n], GREVLEX)
+        symbols = SYMBOLS4[:n]
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            d = rng.randint(1, 2)
+            gens.append(_random_poly(ring, rng, rng.randint(1, 3), d, mindeg=d))
+        ideal = Ideal(ring, gens)
+        if not ideal.generators:
+            continue
+        ideal.groebner()
+        pick = rng.random()
+        if pick < 0.4:
+            f = ring.gens()[rng.randrange(n)]
+        elif pick < 0.6:
+            f = ring.sum_of_gens()
+        else:
+            f = _random_poly(ring, rng, 2, 1, mindeg=1)
+        if not f.terms:
+            continue
+        ours = saturate(ideal, f)
+        system = [_to_sympy(g, symbols) for g in ideal.generators]
+        system.append(t * _to_sympy(f, symbols) - 1)
+        # grevlex on t, then grevlex on the rest: t's elimination order
+        block = sympy.groebner(system, t, *symbols, order=_block(1))
+        free = [g for g in block.exprs if not g.has(t)]
+        reduced = _sympy_basis(Ideal(ring, [_from_poly(g, ring, symbols) for g in free]),
+                               symbols, "grevlex")[1]
+        assert sorted(sorted(dict(g.terms).items()) for g in ours.generators) == reduced
+    assert proved.count(True) >= 3 and proved.count(False) >= 3
+
