@@ -10,16 +10,18 @@ would reduce to zero on a regular sequence.  The rest (the saturations
 that do change their ideal, with t*f - 1, and the ML-degree fibers over
 an affine chart) take Buchberger's algorithm with normal-pair selection
 (a degree-ordered queue) and the standard pair filters (product and
-chain criteria, applied Gebauer-Moeller style); there signatures were
-measured and lose (see buchberger).  Every reduction, the public
-`normal_form` included, runs in one fraction-free kernel over integer
-terms; `normal_form` divides the kernel's remainder by the scale it
-accumulated.  The kernel keeps the part of the dividend still to be
-reduced as lazily shifted reducer multiples merged in a heap (Johnson,
-"Sparse polynomial arithmetic", 1974; Monagan and Pearce, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors",
-2007): a reduction step adds one stream to the heap, and each term of a
-reducer multiple is made once, when it becomes the leading term.
+chain criteria, applied Gebauer-Moeller style).  There signatures were
+measured: they lose on the fibers, and on the saturations they are
+faster for some inputs and slower for others (see buchberger).  Every
+reduction, the public `normal_form` included, runs in one fraction-free
+kernel over integer terms; `normal_form` divides the kernel's remainder
+by the scale it accumulated.  The kernel keeps the part of the dividend
+still to be reduced as lazily shifted reducer multiples merged in a heap
+(Johnson, "Sparse polynomial arithmetic", 1974; Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", 2007): a reduction step adds one stream to the heap, and each
+term of a reducer multiple is made once, when it becomes the leading
+term.
 
 A kernel term is (key, exponents, coefficient) with the first two packed
 into one int each (Monagan and Pearce, "Sparse polynomial division using
@@ -43,18 +45,24 @@ support lies in the term's, so the AND of those bitsets over the
 variables the term lacks gives the candidates, memoized per support.
 Only candidates get the divisibility test, lowest list position first,
 so the reducer chosen is the one a scan of the whole list would choose.
-The index only grows at its end: in buchberger it is the basis itself,
-reducers in the order found, and the pair indices are its positions.
-In a signature step a reducer may carry a signature, and then it
-reduces a term only where the division stays regular (see _divide).
+The index only grows at its end: in buchberger, in either loop, it is
+the basis itself, reducers in the order found, interreduced once when
+the loop ends.  The pair loop names its pairs by positions in it, and a
+signature step reads the leading monomials of the basis it started from
+at the positions below its own first element.  In a signature step the
+step's elements carry their signatures, and each reduces a term only
+where the division stays regular (see _divide); when the step ends they
+are cleared, and the elements reduce as basis elements.
 
 The reduced basis handed back is monic over Q, sorted ascending by
 leading term, and therefore canonical for the ideal and order.
 
 A known basis is not computed twice.  An elimination under grevlex
 returns its reduced basis as the result's cached basis.  A saturation of
-a grevlex ideal I whose basis G is cached first runs one signature step
-for G + (f) (see saturate).  If it makes no reduction to zero, then
+a grevlex ideal I whose basis G is cached first reduces f by G.  A zero
+remainder means f is in I, and the saturation is the unit ideal.
+Otherwise one signature step runs for G + (f) (see saturate).  If it
+makes no reduction to zero, then
 I : f = I (Gao, Volny and Wang, 2016), the saturation is I, and G is
 returned as it stands: no auxiliary variable, no block order, no
 elimination.  Most saturations on the toric path are of this kind: the
@@ -273,7 +281,8 @@ class _Reducers:
     """Kernel reducers in scan order, indexed by their leading terms' supports.
 
     ``items`` holds (lt, lc, terms) per reducer, and ``sigs`` its
-    signature key in a signature step or None (see _divide).
+    signature key while the signature step that found it runs, else None
+    (see _divide).
     ``miss[i]`` is a bitset over list positions whose bit r is set when
     reducer r's leading term does not involve variable i.  A reducer
     divides a term only if its
@@ -330,12 +339,14 @@ class _Reducers:
         self.memo[s] = cand
         return cand
 
-    def divides(self, m: int) -> bool:
-        """Whether some reducer's leading term divides the packed monomial m."""
+    def divides(self, m: int, below: int) -> bool:
+        """Whether the leading term of a reducer at a position below ``below``
+        divides the packed monomial m; later reducers are ignored."""
         s = (m + self.ones) & self.guard
         cand = self.memo.get(s)
         if cand is None:
             cand = self.candidates(s)
+        cand &= (1 << below) - 1
         items, guard = self.items, self.guard
         while cand:
             low = cand & -cand
@@ -562,12 +573,14 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal in its ring's order.
 
     Deterministic and canonical: independent of generator order.  Two
-    loops compute a basis, and both hand it to _interreduce, so the
+    loops compute a basis.  Each grows one append-only reducer index,
+    ``basis``, seeded with the known prefix (below), and buchberger
+    interreduces it once when the loop ends (_interreduce), so the
     returned basis is the same reduced one, ascending by leading term,
     whichever ran.
 
-    * When no generator outside the known prefix (below) has a constant
-      term, the signature loop runs (_signature_loop): incremental,
+    * When no generator outside the known prefix has a constant term,
+      the signature loop runs (_signature_loop): incremental,
       signature-based, so it skips the pairs that would reduce to zero
       on a regular sequence.  The Lagrange eliminations, homogeneous
       ideals and lattice ideals take it.
@@ -580,11 +593,15 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     call.  On the first kind the pair loop's criteria keep many pairs
     that reduce to zero (658 of 773 in the binary 3-chain's Lagrange
     elimination), and the signature loop reduces none of them (135
-    reductions in all).  On the second kind it does not pay: over one
-    pass of the ML-degree benchmark, whose fibers lie on the affine
-    chart sum p = 1, it made 1027 reductions against the pair loop's 578
-    and took three times as long, and the saturations were no faster.
-    The test is one look at each generator's last term.
+    reductions in all).  On the ML-degree fibers, whose inputs include
+    the affine chart sum p - 1, it does not pay: over one pass of the
+    ML-degree benchmark it made 1027 reductions against the pair loop's
+    578 and took three times as long.  On the saturations the result is
+    mixed.  With only inputs that are linear forms with a constant term
+    sent to the pair loop, the toric benchmark's pass took about 0.70
+    of its time and the binary star's correspondence about 0.22, but the
+    binary 4-chain's took 1.1 to 1.25 times as long.  The test is one
+    look at each generator's last term.
 
     When the ideal's leading generators are known to be a Groebner basis
     already (``saturate`` marks them so), they are registered as
@@ -603,10 +620,9 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     inputs.sort(key=lambda t: (t[0][0], t))
     basis = _divisors(ideal.generators[:known], pack)
     # a term list is descending, so its last term is constant exactly when it has one
-    if any(not t[-1][1] for t in inputs):
-        reduced = _interreduce(_pair_loop(inputs, basis, pack), pack)
-    else:
-        reduced = _signature_loop(inputs, basis, pack)
+    loop = _pair_loop if any(not t[-1][1] for t in inputs) else _signature_loop
+    loop(inputs, basis, pack)
+    reduced = _interreduce([t for _, _, t in basis.items], pack)
     unpack = pack.unpack
     out = []
     for _, lc, t in reduced.items:
@@ -619,7 +635,7 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
 
 
 def _pair_loop(inputs, basis: _Reducers, pack: _Packing):
-    """Buchberger's pair loop: the term lists of a Groebner basis of basis + inputs.
+    """Buchberger's pair loop: grow basis to a Groebner basis of basis + inputs.
 
     The basis grows as one append-only reducer index (_Reducers), in the
     order its elements are found, so a reduction here uses the first
@@ -674,29 +690,25 @@ def _pair_loop(inputs, basis: _Reducers, pack: _Packing):
         if r:
             add_poly(r)
 
-    return [t for _, _, t in items]
 
-
-def _signature_loop(inputs, basis: _Reducers, pack: _Packing) -> _Reducers:
-    """Incremental signature loop: the interreduced basis of basis + inputs.
+def _signature_loop(inputs, basis: _Reducers, pack: _Packing):
+    """Incremental signature loop: grow basis to a Groebner basis of basis + inputs.
 
     basis, a Groebner basis (the known prefix, perhaps empty), takes the
     inputs one at a time.  Each input is reduced by the basis so far; if
     it does not reduce to zero, one signature step (_signature_step)
-    finds what it adds, and the interreduced union is the basis for the
-    next input.
+    appends what it adds.  The basis is not interreduced between inputs:
+    a step needs only that it is a Groebner basis of the ideal so far,
+    and the appended union is one.
     """
-    basis = _interreduce([t for _, _, t in basis.items], pack)
     for f in inputs:
         f = _reduce_full(f, basis)
         if f:
-            step = _signature_step(f, basis, pack)
-            basis = _interreduce([t for _, _, t in basis.items] + step, pack)
-    return basis
+            _signature_step(f, basis, pack)
 
 
-def _signature_step(f, basis: _Reducers, pack: _Packing, stop=False):
-    """The term lists a signature-based loop adds to a Groebner basis B for B + (f).
+def _signature_step(f, basis: _Reducers, pack: _Packing, stop=False) -> bool:
+    """Grow the Groebner basis B, given as its reducer index, to one of B + (f).
 
     This is the GVW framework (Gao, Volny and Wang, "A new framework for
     computing Groebner bases", Math. Comp. 2016) in position-over-term
@@ -706,14 +718,17 @@ def _signature_step(f, basis: _Reducers, pack: _Packing, stop=False):
     key int.  f itself has signature 1.  Elements of B have none and
     reduce everything; a step element reduces a term, top or tail, only
     if shift * sig < the signature of what is reduced (regular reduction,
-    the ``bound`` of _divide).  basis is B's reducer index; the step's
-    elements are appended to it, with their signature keys.
+    the ``bound`` of _divide).  The step's elements are appended to
+    basis with their signature keys, and when the step ends those keys
+    are cleared: the elements are then part of B, for the next step and
+    for the interreduction.  B need not be reduced or minimal.
 
     J-pairs go by increasing signature T, and at most one pair with a
     given T is reduced: the one whose multiple has the smallest leading
     monomial.  A pair is skipped when T is divisible by a known syzygy
-    signature: a leading monomial of B (the F5 criterion) or the signature
-    of a reduction to zero.  It is also skipped when it is covered: some
+    signature: a leading monomial of B (the F5 criterion, read from
+    basis below the step's first position) or the signature of a
+    reduction to zero.  It is also skipped when it is covered: some
     step element g has sig(g) | T and (T / sig(g)) lm(g) < the multiple's
     leading monomial.  A reduced pair whose leading term a step element
     divides at signature exactly T is dropped as redundant.  When no pair
@@ -724,15 +739,15 @@ def _signature_step(f, basis: _Reducers, pack: _Packing, stop=False):
     e'u - eu' of two step elements, with u*f = e and u'*f = e' modulo B,
     lies in B's ideal itself, so its signature, where the two products
     do not cancel, is a leading monomial of B: the F5 criterion already
-    holds it, and so it is not kept.  With ``stop`` the step returns None
-    at its first reduction to zero, whose signature B's leading
-    monomials do not divide: u is then not in B's ideal (see saturate).
+    holds it, and so it is not kept.  Returns whether the step made no
+    reduction to zero; with ``stop`` it ends at the first one, whose
+    signature B's leading monomials do not divide: u is then not in B's
+    ideal (see saturate), and basis holds a partial step.
     """
     guard = pack.guard
     items, sigs = basis.items, basis.sigs
     nb = len(items)
-    # known syzygy signatures as one-term lists, first B's leading monomials (F5)
-    syz = _Reducers(pack, [[t[0]] for _, _, t in items])
+    zeros = []  # packed signatures of the reductions to zero
     sexps = {}  # position of a step element -> its packed signature
     pending: dict = {}  # signature key -> (top key, signature, position, shift, shift key)
     heap: list = []
@@ -767,7 +782,7 @@ def _signature_step(f, basis: _Reducers, pack: _Packing, stop=False):
     while heap:
         tk = heappop(heap)
         top, t, i, shift, kshift = pending.pop(tk)
-        if syz.divides(t):
+        if basis.divides(t, nb) or any(not (t - z) & guard for z in zeros):
             continue
         if any(
             not (t - se) & guard and tk - sigs[g] + items[g][2][0][0] < top
@@ -776,9 +791,9 @@ def _signature_step(f, basis: _Reducers, pack: _Packing, stop=False):
             continue  # covered
         r = _normalize_content(_divide(_shifted(items[i][2], shift, kshift), basis, tk)[0])
         if not r:
+            zeros.append(t)
             if stop:
-                return None
-            syz.append([(0, t, 1)])
+                break
             continue
         lk, lm = r[0][0], r[0][1]
         if any(
@@ -787,7 +802,8 @@ def _signature_step(f, basis: _Reducers, pack: _Packing, stop=False):
         ):
             continue  # singular top-reducible: redundant
         add(r, t, tk)
-    return [t for _, _, t in items[nb:]]
+    sigs[nb:] = [None] * (len(items) - nb)
+    return not zeros
 
 
 # ---------------------------------------------------------------------------
@@ -938,23 +954,26 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     from ``eliminate`` or ``groebner()`` was called on it), two things
     change.
 
-    First, a saturation that changes nothing is proved so by one signature
-    step, with no auxiliary variable and no elimination (_colon_is_trivial).
-    Let r be the remainder of f on division by G.  If r is nonzero and has
-    no constant term, one step of the signature loop (_signature_step) runs
-    for G + (r) in the ring's own order.  Each reduction to zero in it has
-    a signature that no leading monomial of G divides, and that signature
-    is the leading monomial of some u with u*r, and so u*f, in I: an
-    element of I : f outside I.  When the step ends, the leading
-    monomials of G and those signatures generate the leading ideal of
-    I : f (Gao, Volny and Wang, "A new framework for computing Groebner
-    bases", Math. Comp. 2016; Gao, Guan and Volny, "A new incremental
-    algorithm for computing Groebner bases", ISSAC 2010, where I : f is
-    a by-product of this step).  So if the step made no reduction to
-    zero, I : f has the leading ideal of I and contains I, so it is I,
-    and so is I : f^k for every k: the result is G itself.  The step
-    stops at its first reduction to zero, since the saturation is then
-    larger than I, and the elimination below runs.
+    First, two kinds of saturation need no auxiliary variable and no
+    elimination.  Let r be the remainder of f on division by G.  If r is
+    zero, f lies in I, so I : f holds 1 and the result is the unit ideal,
+    returned with (1) as its cached basis, as the elimination would give
+    it.  A saturation that changes nothing is proved so by one signature
+    step (_colon_is_trivial).  If r is nonzero and has no constant term,
+    one step of the signature loop (_signature_step) runs for G + (r) in
+    the ring's own order.  Each reduction to zero in it has a signature
+    that no leading monomial of G divides, and that signature is the
+    leading monomial of some u with u*r, and so u*f, in I: an element of
+    I : f outside I.  When the step ends, the leading monomials of G and
+    those signatures generate the leading ideal of I : f (Gao, Volny and
+    Wang, "A new framework for computing Groebner bases", Math. Comp.
+    2016; Gao, Guan and Volny, "A new incremental algorithm for computing
+    Groebner bases", ISSAC 2010, where I : f is a by-product of this
+    step).  So if the step made no reduction to zero, I : f has the
+    leading ideal of I and contains I, so it is I, and so is I : f^k for
+    every k: the result is G itself.  The step stops at its first
+    reduction to zero, since the saturation is then larger than I, and
+    the elimination below runs.
 
     Second, the elimination starts from G + (t*f - 1), and Buchberger
     forms no S-pair within G.  This is exact: block(1) restricted to
@@ -970,11 +989,16 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     if not f.terms:
         raise ValueError("cannot saturate by the zero polynomial")
     gb = ideal._gb if ring.order == GREVLEX else None
-    if gb is not None and _colon_is_trivial(gb, f):
-        out = Ideal(ring, gb.basis)
-        out._gb = GroebnerBasis(out, gb.basis, GREVLEX)
-        out._gb._reducers = gb._reducers
-        return out
+    if gb is not None:
+        pack = _packing(GREVLEX, ring.nvars)
+        if gb._reducers is None:
+            gb._reducers = _divisors(gb.basis, pack)
+        r = _reduce_full(_primitive_terms(f, pack), gb._reducers)
+        if not r or _colon_is_trivial(gb, r):
+            out = Ideal(ring, gb.basis if r else [ring.one()])
+            out._gb = GroebnerBasis(out, out.generators, GREVLEX)
+            out._gb._reducers = gb._reducers if r else None
+            return out
     known = gb.basis if gb is not None else ()
 
     def build(aux, _):
@@ -985,23 +1009,21 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     return _eliminate_auxiliary(ring, 1, build, known)
 
 
-def _colon_is_trivial(gb: GroebnerBasis, f: Polynomial) -> bool:
+def _colon_is_trivial(gb: GroebnerBasis, r) -> bool:
     """Whether one signature step proves I : f = I for I with reduced basis gb.
 
-    False when it finds an element of I : f outside I, and when it is not
-    tried: f in I (I : f is the unit ideal), or a remainder with a
-    constant term, which the signature loop's rule leaves to the pair
-    loop (see buchberger).  The step appends to a fresh reducer index, so
-    the basis's own index, which normal_form scans, stays as it is.
+    r is the remainder of f on gb's reducer index, nonzero (f is not in
+    I).  False when the step finds an element of I : f outside I, and
+    when it is not tried: a remainder with a constant term, which the
+    signature loop's rule leaves to the pair loop (see buchberger).  The
+    step appends to a fresh reducer index, so the basis's own index,
+    which normal_form scans, stays as it is.
     """
-    pack = _packing(gb.order, gb.ring.nvars)
-    if gb._reducers is None:
-        gb._reducers = _divisors(gb.basis, pack)
-    r = _reduce_full(_primitive_terms(f, pack), gb._reducers)
-    if not r or not r[-1][1]:
+    if not r[-1][1]:
         return False
+    pack = _packing(gb.order, gb.ring.nvars)
     index = _Reducers(pack, [t for _, _, t in gb._reducers.items])
-    return _signature_step(r, index, pack, stop=True) is not None
+    return _signature_step(r, index, pack, stop=True)
 
 
 def saturate_by_product(ideal: Ideal, factors) -> Ideal:

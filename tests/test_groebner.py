@@ -1,6 +1,7 @@
 """Tests for Groebner bases, ideal operations, and the ideal file format."""
 
 import gc
+import itertools
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -328,6 +329,18 @@ def test_reducer_index_over_no_reducers():
     assert r.poly(list(_index_divide(f, index)[0])) == -x**2 - 4
 
 
+def test_reducer_index_divides_only_below_a_position():
+    # y^2 sits at position 0 and x at 1: x*y is divisible by x alone, so
+    # below position 1 nothing divides it, and below 2 something does
+    r = _ring(("x", "y"))
+    x, y = r.gens()
+    pack = _packing(GREVLEX, 2)
+    index = _divisors([y**2, x], pack)
+    xy, y3 = pack.exps((1, 1)), pack.exps((0, 3))
+    assert not index.divides(xy, 1) and index.divides(xy, 2)
+    assert index.divides(y3, 1) and not index.divides(xy, 0)
+
+
 def _sparse_poly(ring, rng, nterms, maxdeg):
     """A polynomial whose monomials each involve one to three variables."""
     terms = []
@@ -555,37 +568,47 @@ def test_ideal_equal():
 def _loop_bases(ideal):
     """The pair loop's and the signature loop's interreduced bases of an ideal.
 
-    The inputs are prepared as buchberger prepares them; each loop gets
-    its own index of the known prefix, since both append to it.  Also
-    returns the signature loop's regular reductions as one list per
-    step of (signature key, reduced to zero).
+    The inputs are prepared as buchberger prepares them; each loop grows
+    its own index of the known prefix, and the grown index is
+    interreduced as buchberger does it.  Also returns the signature
+    loop's steps, each as the packed leading monomials of the basis it
+    started from and its regular reductions as (signature key, reduced
+    to zero).
     """
     ring = ideal.ring
     pack = _packing(ring.order, ring.nvars)
     known = ideal._known
     inputs = [_primitive_terms(g, pack) for g in ideal.generators[known:]]
     inputs.sort(key=lambda t: (t[0][0], t))
-    pair = _interreduce(_pair_loop(inputs, _divisors(ideal.generators[:known], pack), pack), pack)
+    pair = _divisors(ideal.generators[:known], pack)
+    _pair_loop(inputs, pair, pack)
     steps = []
     original_step, original_divide = algstat.groebner._signature_step, algstat.groebner._divide
 
-    def step(*args):
-        steps.append([])
-        return original_step(*args)
+    def step(f, basis, pack):
+        steps.append(([lt for lt, _, _ in basis.items], []))
+        return original_step(f, basis, pack)
 
     def divide(p, reducers, bound=None):
         rem, scale = original_divide(p, reducers, bound)
         if bound is not None:
-            steps[-1].append((bound, not rem))
+            steps[-1][1].append((bound, not rem))
         return rem, scale
 
     algstat.groebner._signature_step, algstat.groebner._divide = step, divide
+    sig = _divisors(ideal.generators[:known], pack)
     try:
-        sig = _signature_loop(inputs, _divisors(ideal.generators[:known], pack), pack)
+        _signature_loop(inputs, sig, pack)
     finally:
         algstat.groebner._signature_step = original_step
         algstat.groebner._divide = original_divide
-    return [t for _, _, t in pair.items], [t for _, _, t in sig.items], steps
+    # a finished step leaves no signature behind: its elements are basis
+    assert sig.sigs == [None] * len(sig)
+
+    def reduced(index):
+        return [t for _, _, t in _interreduce([t for _, _, t in index.items], pack).items]
+
+    return reduced(pair), reduced(sig), steps
 
 
 def _monomials_by_key(order, n, keys):
@@ -652,33 +675,56 @@ def _origin_cases():
         ideal = Ideal(r, list(gb) + rest)
         ideal._known = len(gb)
         yield ideal
+    # 6-8 inputs, so later steps run over earlier ones that are neither
+    # interreduced nor minimal
+    rng = random.Random(113)
+    for order in orders:
+        for prefix in (0, 2):
+            r = _ring(tuple(f"x_{k}" for k in range(rng.randint(3, 4))), order)
+            homogeneous = rng.random() < 0.5
+            gb = Ideal(r, [_random_origin_poly(r, rng, 3, 2, True) for _ in range(prefix)])
+            gb = gb.groebner().basis
+            rest = [
+                _random_origin_poly(r, rng, rng.randint(2, 3), 3, homogeneous)
+                for _ in range(rng.randint(6, 8))
+            ]
+            ideal = Ideal(r, list(gb) + rest)
+            ideal._known = len(gb)
+            yield ideal
 
 
 def test_signature_loop_matches_the_pair_loop():
     # The pair loop is the reference: on ideals through the origin both
     # loops must give the same reduced basis.  Within a step, the
     # signature of a reduction to zero is a syzygy signature, so no later
-    # pair whose signature it divides may be reduced.
-    zeros = regular = 0
+    # pair whose signature it divides may be reduced, and neither may one
+    # whose signature a leading monomial of the basis the step started
+    # from divides (the F5 criterion), though that basis is not reduced.
+    zeros = regular = unreduced = 0
     for ideal in _origin_cases():
         assert ideal.generators
         pair, sig, steps = _loop_bases(ideal)
         assert sig == pair
         # a known prefix saves work but does not change the basis
         assert ideal.groebner().basis == buchberger(Ideal(ideal.ring, ideal.generators)).basis
-        keys = [key for step in steps for key, _ in step]
+        pack = _packing(ideal.ring.order, ideal.ring.nvars)
+        keys = [key for _, step in steps for key, _ in step]
         monomials = _monomials_by_key(ideal.ring.order, ideal.ring.nvars, keys)
-        for step in steps:
+        for start, step in steps:
+            heads = [pack.unpack(lt) for lt in start]
+            if any(all(map(le, a, b)) for a, b in itertools.permutations(heads, 2)):
+                unreduced += 1
             syzygies = []
             for key, zero in step:
                 t = monomials[key]
                 assert not any(all(map(le, h, t)) for h in syzygies)
+                assert not any(all(map(le, h, t)) for h in heads)
                 if zero:
                     syzygies.append(t)
                     zeros += 1
                 regular += 1
-    # the cases reach both kinds of step
-    assert regular >= 150 and zeros >= 20
+    # the cases reach both kinds of step, and steps over a non-minimal basis
+    assert regular >= 150 and zeros >= 20 and unreduced >= 10
 
 
 def test_the_constant_term_rule_chooses_the_loop(monkeypatch, hw_ideal):
@@ -709,6 +755,30 @@ def test_the_constant_term_rule_chooses_the_loop(monkeypatch, hw_ideal):
     calls.clear()
     ml_degree(hw_ideal, trials=1)
     assert {name for name, n in calls if n == 5} == {"_pair_loop"}
+
+
+def test_buchberger_interreduces_once_in_either_loop(monkeypatch, hw_ideal):
+    # both loops only grow one index, and buchberger interreduces it once,
+    # not once per input
+    events = []
+    for name in ("buchberger", "_pair_loop", "_signature_loop", "_interreduce"):
+
+        def spy(*args, original=getattr(algstat.groebner, name), name=name):
+            events.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(algstat.groebner, name, spy)
+    r = _ring(("x", "y", "z", "w"))
+    gens = ("x*y - z^2", "y*z - w^2", "x*w - y^2", "x^2 - z*w", "y^3 - x*z*w")
+    for extra, loop in (((), "_signature_loop"), (("x + y - 1",), "_pair_loop")):
+        events.clear()
+        _ideal(r, *gens, *extra).groebner()
+        assert events == ["buchberger", loop, "_interreduce"]
+    events.clear()
+    compute_lc_general(hw_ideal)  # a model check and an elimination
+    runs = [tuple(events[i : i + 3]) for i in range(0, len(events), 3)]
+    assert len(runs) >= 2 and set(runs) == {("buchberger", "_signature_loop", "_interreduce")}
+    assert len(events) == 3 * len(runs)
 
 
 # ------------------------------------------------------------- eliminate
@@ -923,12 +993,15 @@ def _grevlex_ideal_and_multiplier(draw):
 
 def _expected_known_counts(basis, f, saturated):
     """What _known_counts records for a saturate of an ideal whose reduced
-    basis ``basis`` is cached: nothing when one signature step proves the
-    saturation trivial, else one elimination from the basis.  The step is
-    tried when f's remainder is nonzero with no constant term, and it
+    basis ``basis`` is cached: nothing when f lies in the ideal (the unit
+    ideal needs no elimination) or one signature step proves the
+    saturation trivial, else one elimination from the basis.  The step
+    is tried when f's remainder is nonzero with no constant term, and it
     proves the saturation trivial exactly when it is."""
     r = normal_form(f, basis)
-    tried = r.terms and all(any(m) for m, _ in r.terms)
+    if not r.terms:
+        return []
+    tried = all(any(m) for m, _ in r.terms)
     return [] if tried and saturated == basis else [len(basis)]
 
 
@@ -1009,6 +1082,13 @@ def _certificate_cases():
             yield ideal, f
 
 
+def _colon_is_trivial(gb, f):
+    """The step's verdict on I : f = I, given f's remainder on gb as saturate gives it."""
+    pack = _packing(gb.order, gb.ring.nvars)
+    r = algstat.groebner._reduce_full(_primitive_terms(f, pack), gb._reducers)
+    return algstat.groebner._colon_is_trivial(gb, r)
+
+
 def test_one_signature_step_certifies_trivial_saturations_only():
     # the step's claim checked against the elimination in both directions:
     # a proof of I : f = I gives I, and an early exit means the saturation
@@ -1023,14 +1103,13 @@ def test_one_signature_step_certifies_trivial_saturations_only():
         assert sat.generators == plain.generators
         if not r.terms:
             routes["unit"] += 1
-            assert not algstat.groebner._colon_is_trivial(gb, f)
             assert [print_polynomial(g) for g in plain.generators] == ["1"]
-            assert seen == [len(gb.basis)]
+            assert seen == [] and sat._gb.basis == sat.generators
         elif not all(any(m) for m, _ in r.terms):
             routes["constant term"] += 1
-            assert not algstat.groebner._colon_is_trivial(gb, f)
+            assert not _colon_is_trivial(gb, f)
             assert seen == [len(gb.basis)]
-        elif algstat.groebner._colon_is_trivial(gb, f):
+        elif _colon_is_trivial(gb, f):
             routes["proved"] += 1
             assert ideal_equal(ideal, plain) and plain.generators == gb.basis
             assert seen == [] and sat._gb.basis == gb.basis
@@ -1041,6 +1120,39 @@ def test_one_signature_step_certifies_trivial_saturations_only():
             assert seen == [len(gb.basis)]
     assert routes["proved"] >= 30 and routes["larger"] >= 20
     assert routes["unit"] >= 1 and routes["constant term"] >= 2
+
+
+def test_a_saturation_by_a_member_of_the_ideal_eliminates_nothing(monkeypatch):
+    # f in I makes I : f the unit ideal; with I's basis cached, its zero
+    # remainder shows that, so saturate returns (1) with (1) as its cached
+    # basis, the bytes the elimination gives, and no eliminate or
+    # buchberger runs
+    eliminations = []
+    original = algstat.groebner.eliminate
+
+    def spy(ideal, k):
+        eliminations.append(k)
+        return original(ideal, k)
+
+    monkeypatch.setattr(algstat.groebner, "eliminate", spy)
+    r = _ring(("x", "y", "z"))
+    gens = [parse_polynomial(t, r) for t in ("x*y - z^2", "y^3 - x")]
+    rng = random.Random(131)
+    members = [gens[0]]
+    while len(members) < 8:
+        f = sum((_random_term_poly(r, rng, 3, 2, False) * g for g in gens), r.zero())
+        if f.terms:
+            members.append(f)
+    for f in members:
+        plain = saturate(Ideal(r, gens), f)  # no basis cached: an elimination
+        assert plain.generators == (r.one(),)
+        ideal = Ideal(r, gens)
+        ideal.groebner()
+        eliminations.clear()
+        with _known_counts() as seen:
+            sat = saturate(ideal, f)
+        assert eliminations == [] and seen == []
+        assert sat.generators == plain.generators and sat._gb.basis == (r.one(),)
 
 
 def test_a_saturation_leaves_the_cached_reducer_index_alone():

@@ -201,6 +201,69 @@ def test_scaled_hypersurfaces(n, build, expected):
     assert ml_degree(_hypersurface(n, build)) == expected
 
 
+def _is_chordal(n, edges):
+    """Chordality by maximum-cardinality search (Tarjan and Yannakakis, 1984).
+
+    The search visits the vertices in the reverse of a perfect elimination
+    order whenever the graph has one, and a graph is chordal exactly when
+    it has one: each vertex's neighbours visited before it form a clique.
+    """
+    adj = [set() for _ in range(n)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    order, weight = [], [0] * n
+    for _ in range(n):
+        v = max((u for u in range(n) if u not in order), key=lambda u: weight[u])
+        for u in adj[v]:
+            weight[u] += 1
+        order.append(v)
+    for i, v in enumerate(order):
+        before = adj[v].intersection(order[:i])
+        if any(b not in adj[a] for a, b in itertools.combinations(before, 2)):
+            return False
+    return True
+
+
+def _graphs_up_to_isomorphism(n):
+    """One edge list per isomorphism class of graphs on n labelled vertices."""
+    pairs = list(itertools.combinations(range(n), 2))
+    classes = {}
+    for k in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, k):
+            key = min(
+                tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in edges))
+                for p in itertools.permutations(range(n))
+            )
+            classes.setdefault(key, edges)
+    return list(classes.values())
+
+
+def test_chordal_graphs_have_ml_degree_one():
+    # Geiger, Meek and Sturmfels, "On the toric algebra of graphical
+    # models" (2006): a graphical model has ML degree 1 exactly when its
+    # graph is chordal.  All 11 graphs on four binary vertices; the
+    # 4-cycle's value in this engine is not checked against a published
+    # one, so only that it exceeds 1.
+    graphs = _graphs_up_to_isomorphism(4)
+    assert len(graphs) == 11
+    names = "abcd"
+    chordal = 0
+    for edges in graphs:
+        g = ModelGraph(
+            [DiscreteRandomVariable(2, name=v) for v in names],
+            [(names[a], names[b]) for a, b in edges],
+        )
+        if _is_chordal(4, edges):
+            chordal += 1
+            assert ml_degree(g) == 1, edges
+        else:
+            assert ml_degree(g) > 1, edges
+    assert chordal == 10
+    assert not _is_chordal(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    assert _is_chordal(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (0, 3)])
+
+
 @pytest.mark.parametrize("name, expected", [("binary-3-chain", "1"), ("twisted-cubic", "3")])
 def test_cli_ml_degree_of_ideal(capsys, corpus, name, expected):
     text = format_ideal(toric_ideal(dict(corpus)[name]))
