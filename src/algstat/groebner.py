@@ -1,27 +1,27 @@
 """Groebner bases and ideal arithmetic.
 
 The engine has two loops that share one reduction kernel, one reducer
-index and one interreduction, so either gives the same reduced basis.
-Ideals through the origin (no generator with a constant term: the
-Lagrange eliminations, homogeneous and lattice ideals) take an
-incremental signature loop (Faugere's F5, 2002, in the framework of
-Gao, Volny and Wang, Math. Comp. 2016), which skips the pairs that
-would reduce to zero on a regular sequence.  The rest (the saturations
-that do change their ideal, with t*f - 1, and the ML-degree fibers over
-an affine chart) take Buchberger's algorithm with normal-pair selection
-(a degree-ordered queue) and the standard pair filters (product and
-chain criteria, applied Gebauer-Moeller style).  There signatures were
-measured: they lose on the fibers, and on the saturations they are
-faster for some inputs and slower for others (see buchberger).  Every
-reduction, the public `normal_form` included, runs in one fraction-free
-kernel over integer terms; `normal_form` divides the kernel's remainder
-by the scale it accumulated.  The kernel keeps the part of the dividend
-still to be reduced as lazily shifted reducer multiples merged in a heap
-(Johnson, "Sparse polynomial arithmetic", 1974; Monagan and Pearce,
-"Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", 2007): a reduction step adds one stream to the heap, and each
-term of a reducer multiple is made once, when it becomes the leading
-term.
+index and one interreduction, so either gives the same reduced
+basis.  Most ideals take an incremental signature loop (Faugere's F5,
+2002, in the framework of Gao, Volny and Wang, Math. Comp. 2016), which
+skips the pairs that would reduce to zero on a regular sequence: the
+Lagrange eliminations, homogeneous and lattice ideals, and every
+saturation of a grevlex ideal, which adds the one input t*f - 1 to the
+ideal's basis.  Two kinds take Buchberger's algorithm with normal-pair
+selection (a degree-ordered queue) and the standard pair filters
+(product and chain criteria, applied Gebauer-Moeller style): an input
+that is an affine chart (the ML-degree fibers), and more inputs than
+variables, which are never a regular sequence (the toric relations of a
+large correspondence).  On both, signatures were measured and lost (see
+buchberger).  Every reduction, the public `normal_form` included, runs in
+one fraction-free kernel over integer terms; `normal_form` divides the
+kernel's remainder by the scale it accumulated.  The kernel keeps the
+part of the dividend still to be reduced as lazily shifted reducer
+multiples merged in a heap (Johnson, "Sparse polynomial arithmetic",
+1974; Monagan and Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors", 2007): a reduction step adds one
+stream to the heap, and each term of a reducer multiple is made once,
+when it becomes the leading term.
 
 A kernel term is (key, exponents, coefficient) with the first two packed
 into one int each (Monagan and Pearce, "Sparse polynomial division using
@@ -57,20 +57,21 @@ are cleared, and the elements reduce as basis elements.
 The reduced basis handed back is monic over Q, sorted ascending by
 leading term, and therefore canonical for the ideal and order.
 
-A known basis is not computed twice.  An elimination under grevlex
-returns its reduced basis as the result's cached basis.  A saturation of
-a grevlex ideal I whose basis G is cached first reduces f by G.  A zero
-remainder means f is in I, and the saturation is the unit ideal.
-Otherwise one signature step runs for G + (f) (see saturate).  If it
-makes no reduction to zero, then
-I : f = I (Gao, Volny and Wang, 2016), the saturation is I, and G is
-returned as it stands: no auxiliary variable, no block order, no
-elimination.  Most saturations on the toric path are of this kind: the
-multiplier is already a nonzerodivisor.  Otherwise it runs Buchberger on
-G + (t*f - 1) without forming S-pairs within G (Gebauer and Moeller,
-1988).  That is exact because block(1) restricted to t-free monomials is
-grevlex: G stays a Groebner basis after t is added, so each pair within
-it has a standard representation.  The result is the same reduced basis.
+A known basis is not computed twice, and every saturation under grevlex
+starts from its ideal's reduced basis G, cached or computed then.  An
+elimination under grevlex returns its reduced basis as the result's
+cached basis.  A saturation first reduces f by G.  A zero remainder
+means f is in I, and the saturation is the unit ideal.  Otherwise one
+signature step runs for G + (f) (see saturate).  If it makes no
+reduction to zero, then I : f = I (Gao, Volny and Wang, 2016), the
+saturation is I, and G is returned as it stands: no auxiliary variable,
+no block order, no elimination.  Most saturations on the toric path are
+of this kind: the multiplier is already a nonzerodivisor.  Otherwise it
+runs Buchberger on G + (t*f - 1) without forming S-pairs within G
+(Gebauer and Moeller, 1988), in one signature step.  That is exact
+because block(1) restricted to t-free monomials is grevlex: G stays a
+Groebner basis after t is added, so each pair within it has a standard
+representation.  The result is the same reduced basis.
 
 Also here: elimination via block orders, saturation and intersection
 by the auxiliary-variable trick (t*f - 1), minors of polynomial
@@ -579,29 +580,37 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     returned basis is the same reduced one, ascending by leading term,
     whichever ran.
 
-    * When no generator outside the known prefix has a constant term,
-      the signature loop runs (_signature_loop): incremental,
+    * The pair loop runs (_pair_loop), Buchberger's pairs with the
+      product and chain criteria, when an input outside the known prefix
+      is an affine chart (a linear form with a constant term, as the
+      chart sum p - 1 of the ML-degree fibers), or when there are more
+      such inputs than variables.
+    * Otherwise the signature loop runs (_signature_loop): incremental,
       signature-based, so it skips the pairs that would reduce to zero
-      on a regular sequence.  The Lagrange eliminations, homogeneous
-      ideals and lattice ideals take it.
-    * Otherwise the pair loop runs (_pair_loop): Buchberger's pairs with
-      the product and chain criteria.  The saturations (t*f - 1), the
-      ML-degree fibers (the chart sum p - 1 and integer data) and the
-      intersections with constants take it.
+      on a regular sequence.  The Lagrange eliminations, homogeneous and
+      lattice ideals with few generators, and every saturation (its
+      known basis G, then the one input t*f - 1) take it.
 
-    The rule exists because the signature loop was measured on every
-    call.  On the first kind the pair loop's criteria keep many pairs
-    that reduce to zero (658 of 773 in the binary 3-chain's Lagrange
-    elimination), and the signature loop reduces none of them (135
-    reductions in all).  On the ML-degree fibers, whose inputs include
-    the affine chart sum p - 1, it does not pay: over one pass of the
-    ML-degree benchmark it made 1027 reductions against the pair loop's
-    578 and took three times as long.  On the saturations the result is
-    mixed.  With only inputs that are linear forms with a constant term
-    sent to the pair loop, the toric benchmark's pass took about 0.70
-    of its time and the binary star's correspondence about 0.22, but the
-    binary 4-chain's took 1.1 to 1.25 times as long.  The test is one
-    look at each generator's last term.
+    Each clause of the rule was measured.  In the pair loop the Lagrange
+    eliminations reduce many pairs to zero (658 of 773 in the binary
+    3-chain's), and the signature loop reduces none of them (135
+    reductions in all).  On the ML-degree fibers it does not pay:
+    over one pass of the ML-degree benchmark it made 1027 reductions
+    against the pair loop's 578 and took three times as long.  Inputs
+    that outnumber the variables are never a regular sequence, and one
+    at a time their intermediate ideals can be far larger than the
+    ideal: the toric relations of the binary 4-chain's correspondence
+    (86 generators in 32 variables) reach elements of degree 11 with
+    21 734 terms there, against a basis of 164 elements of at most 979
+    terms, and took 23.4 s in the signature loop against 3.7 s in the
+    pair loop (6.4 s with the toric ideal first, 592 s in descending
+    order, 23.7 s interreduced after each input).  A saturation starts
+    from the reduced basis G (see saturate), so its one input t*f - 1
+    is a single signature step over G: on the toric benchmark that
+    halved the reductions to zero (1514 to 726 per pass) and cut its
+    pass time by about a fifth, and the binary 4-chain's correspondence
+    went from 22 s to about 5 s.  The test looks at the number of
+    inputs and, for inputs with a constant term, at their degree.
 
     When the ideal's leading generators are known to be a Groebner basis
     already (``saturate`` marks them so), they are registered as
@@ -616,11 +625,13 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     order = ring.order
     pack = _packing(order, ring.nvars)
     known = ideal._known
-    inputs = [_primitive_terms(g, pack) for g in ideal.generators[known:]]
+    gens = ideal.generators[known:]
+    inputs = [_primitive_terms(g, pack) for g in gens]
     inputs.sort(key=lambda t: (t[0][0], t))
     basis = _divisors(ideal.generators[:known], pack)
-    # a term list is descending, so its last term is constant exactly when it has one
-    loop = _pair_loop if any(not t[-1][1] for t in inputs) else _signature_loop
+    # an affine chart is a linear form with a constant term; a constant term comes last
+    chart = any(not any(g.terms[-1][0]) and g.total_degree() == 1 for g in gens)
+    loop = _pair_loop if chart or len(gens) > ring.nvars else _signature_loop
     loop(inputs, basis, pack)
     reduced = _interreduce([t for _, _, t in basis.items], pack)
     unpack = pack.unpack
@@ -950,9 +961,11 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     """The saturation I : f^infinity: eliminate t from I + (t*f - 1).
 
     t is a fresh auxiliary variable, so the ring may use any names.  When
-    the ring is grevlex and I's reduced basis G is already known (I came
-    from ``eliminate`` or ``groebner()`` was called on it), two things
-    change.
+    the ring is grevlex, the saturation starts from I's reduced basis G:
+    the cached one (I came from ``eliminate`` or ``groebner()`` was
+    called on it), or else the one ``groebner()`` computes now, in
+    whichever loop buchberger's rule picks for I's generators.  Two
+    things follow.
 
     First, two kinds of saturation need no auxiliary variable and no
     elimination.  Let r be the remainder of f on division by G.  If r is
@@ -978,17 +991,24 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     Second, the elimination starts from G + (t*f - 1), and Buchberger
     forms no S-pair within G.  This is exact: block(1) restricted to
     t-free monomials is grevlex, so G stays a Groebner basis of I*Q[t, x],
-    and every pair within it has a standard representation over it.
-    Under any other order G would not be a basis for block(1), and I is
-    saturated from its generators.  The result is the same reduced basis
-    in every case.
+    and every pair within it has a standard representation over it.  Its
+    one input t*f - 1 takes the signature loop, as one signature step
+    over G.  t*f - 1 is a nonzerodivisor modulo G (its constant term is
+    a unit), so a leading monomial of G divides every syzygy signature of
+    that step, the F5 criterion skips each such pair, and the step
+    reduces nothing to zero.  The pair loop, on the same input, reduces
+    many pairs to zero, and on I's own generators the signature loop can
+    be far slower than the pair loop (see buchberger): hence the basis
+    first, then the step.  Under any other order G would not be a basis
+    for block(1), and I is saturated from its generators.  The result is
+    the same reduced basis in every case.
     """
     ring = ideal.ring
     if f.ring != ring:
         raise ValueError("polynomial lives in a different ring")
     if not f.terms:
         raise ValueError("cannot saturate by the zero polynomial")
-    gb = ideal._gb if ring.order == GREVLEX else None
+    gb = ideal.groebner() if ring.order == GREVLEX else None
     if gb is not None:
         pack = _packing(GREVLEX, ring.nvars)
         if gb._reducers is None:
@@ -1014,10 +1034,13 @@ def _colon_is_trivial(gb: GroebnerBasis, r) -> bool:
 
     r is the remainder of f on gb's reducer index, nonzero (f is not in
     I).  False when the step finds an element of I : f outside I, and
-    when it is not tried: a remainder with a constant term, which the
-    signature loop's rule leaves to the pair loop (see buchberger).  The
-    step appends to a fresh reducer index, so the basis's own index,
-    which normal_form scans, stays as it is.
+    when it is not tried: a remainder with a constant term, which then
+    goes to the elimination.  The correspondences never make one (they
+    saturate homogeneous bases at homogeneous multipliers); the fibers
+    of a precomputed LikelihoodIdeal in ml_degree do, and the step has
+    not been measured on them.  The step appends to a fresh reducer
+    index, so the basis's own index, which normal_form scans, stays as
+    it is.
     """
     if not r[-1][1]:
         return False

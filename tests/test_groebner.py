@@ -573,7 +573,7 @@ def _loop_bases(ideal):
     interreduced as buchberger does it.  Also returns the signature
     loop's steps, each as the packed leading monomials of the basis it
     started from and its regular reductions as (signature key, reduced
-    to zero).
+    to zero), and the number of the pair loop's reductions to zero.
     """
     ring = ideal.ring
     pack = _packing(ring.order, ring.nvars)
@@ -581,7 +581,18 @@ def _loop_bases(ideal):
     inputs = [_primitive_terms(g, pack) for g in ideal.generators[known:]]
     inputs.sort(key=lambda t: (t[0][0], t))
     pair = _divisors(ideal.generators[:known], pack)
-    _pair_loop(inputs, pair, pack)
+    original_reduce = algstat.groebner._reduce_full
+    remainders = []
+
+    def reduce_full(p, reducers):
+        remainders.append(original_reduce(p, reducers))
+        return remainders[-1]
+
+    algstat.groebner._reduce_full = reduce_full
+    try:
+        _pair_loop(inputs, pair, pack)
+    finally:
+        algstat.groebner._reduce_full = original_reduce
     steps = []
     original_step, original_divide = algstat.groebner._signature_step, algstat.groebner._divide
 
@@ -608,7 +619,7 @@ def _loop_bases(ideal):
     def reduced(index):
         return [t for _, _, t in _interreduce([t for _, _, t in index.items], pack).items]
 
-    return reduced(pair), reduced(sig), steps
+    return reduced(pair), reduced(sig), steps, remainders.count([])
 
 
 def _monomials_by_key(order, n, keys):
@@ -693,21 +704,81 @@ def _origin_cases():
             yield ideal
 
 
+def _saturation_case(gens, f):
+    """I + (t*f - 1) as saturate hands it to buchberger: the reduced
+    grevlex basis G of I as a known prefix under block(1), then t*f - 1."""
+    r = gens[0].ring
+    basis = Ideal(r, gens).groebner().basis
+    ext = _ring(("t",) + r.variables, MonomialOrder.block(1))
+    t = ext.gens()[0]
+    ideal = Ideal(ext, [map_to_ring(g, ext) for g in basis] + [t * map_to_ring(f, ext) - 1])
+    ideal._known = len(basis)
+    return ideal
+
+
+def _saturation_cases():
+    """Saturation-shaped ideals: named ones (a lattice ideal at a
+    coordinate and at sum p, ideals with a component on f = 0, the
+    conic's toric relations at sum p), then seeded random ones."""
+    r = _ring(("x", "y", "z", "w"))
+    x, y, z, w = r.gens()
+    yield _saturation_case([x * z - y**2, y * w - z**2], y)  # adds x*w - y*z
+    yield _saturation_case([x * z - y**2, y * w - z**2], r.sum_of_gens())
+    yield _saturation_case([x * y, x * z, x * w], x)
+    yield _saturation_case([x**2 * y - z * w, x * z**2 - y * w**2], x * y)
+    yield _saturation_case([x**2, x * y, z * w - y**2], x + w)
+    pu = _ring(("p_0", "p_1", "p_2", "u_0", "u_1", "u_2"))
+    p, u = pu.gens()[:3], pu.gens()[3:]
+    a = IntMatrix([[2, 1, 0], [0, 1, 2]])
+    relations = minors(2, mul_int_poly(a, PolyMatrix([[p[i], u[i]] for i in range(3)], pu)))
+    conic = [4 * p[0] * p[2] - p[1] ** 2] + list(relations.generators)
+    yield _saturation_case(conic, sum(p[1:], p[0]))
+    rng = random.Random(151)
+    for _ in range(12):
+        r = _ring(tuple(f"x_{k}" for k in range(rng.randint(2, 4))))
+        v = rng.choice(r.gens())
+        # a multiple of v makes a component on v = 0 likely
+        gens = [
+            _random_origin_poly(r, rng, rng.randint(2, 3), 2, True) * (v if k else r.one())
+            for k in range(rng.randint(2, 3))
+        ]
+        gens = [g for g in gens if g.terms]
+        f = v if rng.random() < 0.6 else r.sum_of_gens()
+        if gens:
+            yield _saturation_case(gens, f)
+
+
 def test_signature_loop_matches_the_pair_loop():
-    # The pair loop is the reference: on ideals through the origin both
-    # loops must give the same reduced basis.  Within a step, the
-    # signature of a reduction to zero is a syzygy signature, so no later
-    # pair whose signature it divides may be reduced, and neither may one
-    # whose signature a leading monomial of the basis the step started
-    # from divides (the F5 criterion), though that basis is not reduced.
+    # The pair loop is the reference: on ideals through the origin and on
+    # saturations both loops must give the same reduced basis.  Within a
+    # step, the signature of a reduction to zero is a syzygy signature, so
+    # no later pair whose signature it divides may be reduced, and neither
+    # may one whose signature a leading monomial of the basis the step
+    # started from divides (the F5 criterion), though that basis is not
+    # reduced.  t*f - 1 is a nonzerodivisor modulo G (its constant term is
+    # a unit), so a leading monomial of G divides every syzygy signature
+    # of a saturation's step: the step reduces nothing to zero, where the
+    # pair loop does.
     zeros = regular = unreduced = 0
-    for ideal in _origin_cases():
+    saturations = {"pair loop zeros": 0, "enlarged": 0, "unchanged": 0}
+    cases = itertools.chain(
+        ((ideal, False) for ideal in _origin_cases()),
+        ((ideal, True) for ideal in _saturation_cases()),
+    )
+    for ideal, saturation in cases:
         assert ideal.generators
-        pair, sig, steps = _loop_bases(ideal)
+        pair, sig, steps, pair_zeros = _loop_bases(ideal)
         assert sig == pair
         # a known prefix saves work but does not change the basis
         assert ideal.groebner().basis == buchberger(Ideal(ideal.ring, ideal.generators)).basis
         pack = _packing(ideal.ring.order, ideal.ring.nvars)
+        if saturation:
+            assert not any(zero for _, step in steps for _, zero in step)
+            saturations["pair loop zeros"] += pair_zeros
+            # t is variable 0, so a t-free term has its low exponent field clear
+            t_free = [t for t in pair if not any(m & ((1 << 64) - 1) for _, m, _ in t)]
+            known = [_primitive_terms(g, pack) for g in ideal.generators[: ideal._known]]
+            saturations["unchanged" if t_free == known else "enlarged"] += 1
         keys = [key for _, step in steps for key, _ in step]
         monomials = _monomials_by_key(ideal.ring.order, ideal.ring.nvars, keys)
         for start, step in steps:
@@ -725,36 +796,54 @@ def test_signature_loop_matches_the_pair_loop():
                 regular += 1
     # the cases reach both kinds of step, and steps over a non-minimal basis
     assert regular >= 150 and zeros >= 20 and unreduced >= 10
+    # saturations that change the ideal and ones that do not, with
+    # reductions to zero in the pair loop that the signature loop skips
+    assert saturations["pair loop zeros"] >= 20
+    assert saturations["enlarged"] >= 8 and saturations["unchanged"] >= 3, saturations
 
 
-def test_the_constant_term_rule_chooses_the_loop(monkeypatch, hw_ideal):
-    # Ideals through the origin take the signature loop, the rest the
-    # pair loop: a Lagrange elimination (2 multipliers, 3 + 3 variables)
-    # takes the first, a saturation (t*f - 1) and an ML-degree fiber (the
-    # chart sum p - 1 and integer data, 2 + 3 variables) the second.  A
-    # saturation of an ideal whose basis is cached, by a nonzerodivisor,
-    # is proved trivial by one signature step and runs neither loop.
+def test_the_loop_rule_chooses_the_loop(monkeypatch, hw_ideal):
+    # The pair loop runs on an affine chart or on more inputs than
+    # variables, the signature loop otherwise: a Lagrange elimination (2
+    # multipliers, 3 + 3 variables) takes the second, an ML-degree fiber
+    # (the chart sum p - 1 and integer data, 2 + 3 variables) and a
+    # homogeneous ideal with more generators than variables the first.  A
+    # saturation computes its ideal's basis first; one signature step
+    # proves it trivial when the multiplier is a nonzerodivisor, and
+    # otherwise the elimination is one signature-loop call with one
+    # input, t*f - 1, after the basis.
     calls = []
     for name in ("_pair_loop", "_signature_loop"):
         loop = getattr(algstat.groebner, name)
 
         def spy(inputs, basis, pack, loop=loop, name=name):
-            calls.append((name, len(pack.weights)))
+            calls.append((name, len(pack.weights), len(inputs)))
             return loop(inputs, basis, pack)
 
         monkeypatch.setattr(algstat.groebner, name, spy)
     compute_lc_general(hw_ideal)
-    assert ("_signature_loop", 8) in calls and ("_pair_loop", 8) not in calls
+    loops = {(name, n) for name, n, _ in calls}
+    assert ("_signature_loop", 8) in loops and ("_pair_loop", 8) not in loops
     calls.clear()
     p_0 = hw_ideal.ring.gens()[0]
     assert hw_ideal._gb is not None  # cached by compute_lc_general's model check
     assert saturate(hw_ideal, p_0).generators == hw_ideal.groebner().basis
     assert calls == []
-    saturate(Ideal(hw_ideal.ring, hw_ideal.generators), p_0)
-    assert calls == [("_pair_loop", 4)]
+    uncached = Ideal(hw_ideal.ring, hw_ideal.generators)
+    assert saturate(uncached, p_0).generators == hw_ideal.groebner().basis
+    assert calls == [("_signature_loop", 3, 1)]  # the basis; then the proof
+    calls.clear()
+    r = _ring(("x", "y", "z"))
+    sat = saturate(_ideal(r, "x*y", "x*z"), parse_polynomial("x", r))
+    assert [print_polynomial(g) for g in sat.generators] == ["z", "y"]
+    assert calls == [("_signature_loop", 3, 2), ("_signature_loop", 4, 1)]
     calls.clear()
     ml_degree(hw_ideal, trials=1)
-    assert {name for name, n in calls if n == 5} == {"_pair_loop"}
+    assert {name for name, n, _ in calls if n == 5} == {"_pair_loop"}
+    calls.clear()
+    quadrics = _ideal(r, "x^2", "x*y", "x*z", "y^2", "y*z", "z^2 - x*y")
+    assert len(quadrics.groebner()) == 6
+    assert calls == [("_pair_loop", 3, 6)]
 
 
 def test_buchberger_interreduces_once_in_either_loop(monkeypatch, hw_ideal):
@@ -769,7 +858,9 @@ def test_buchberger_interreduces_once_in_either_loop(monkeypatch, hw_ideal):
 
         monkeypatch.setattr(algstat.groebner, name, spy)
     r = _ring(("x", "y", "z", "w"))
-    gens = ("x*y - z^2", "y*z - w^2", "x*w - y^2", "x^2 - z*w", "y^3 - x*z*w")
+    # 3 inputs and then 4 in 4 variables: only the chart x + y - 1 sends
+    # the second to the pair loop
+    gens = ("x*y - z^2", "y*z - w^2", "x*w - y^2")
     for extra, loop in (((), "_signature_loop"), (("x + y - 1",), "_pair_loop")):
         events.clear()
         _ideal(r, *gens, *extra).groebner()
@@ -962,6 +1053,18 @@ def test_saturation_is_idempotent_on_random_ideals():
 # ------------------------------------------------------------ known bases
 
 
+def _eliminated(ideal, f):
+    """I : f^infinity as the elimination of t from I + (t*f - 1), formed
+    from I's generators: the reference that saturate's shortcuts and
+    known bases must agree with."""
+
+    def build(aux, _):
+        t = aux[0]
+        return [map_to_ring(g, t.ring) for g in ideal.generators] + [t * map_to_ring(f, t.ring) - 1]
+
+    return algstat.groebner._eliminate_auxiliary(ideal.ring, 1, build)
+
+
 @contextmanager
 def _known_counts():
     """Record how many generators each buchberger call took as a known basis."""
@@ -1009,7 +1112,7 @@ def _expected_known_counts(basis, f, saturated):
 @given(_grevlex_ideal_and_multiplier())
 def test_saturate_from_a_known_basis_matches_saturate_from_generators(case):
     ideal, f = case
-    plain = saturate(Ideal(ideal.ring, ideal.generators), f)
+    plain = _eliminated(ideal, f)
     gb = ideal.groebner()
     with _known_counts() as seen:
         seeded = saturate(ideal, f)
@@ -1018,7 +1121,7 @@ def test_saturate_from_a_known_basis_matches_saturate_from_generators(case):
     # the saturation carries its basis, so the next one starts from it too;
     # saturating again changes nothing, so the step proves that unless
     # the remainder of f is zero or has a constant term
-    again_plain = saturate(Ideal(ideal.ring, seeded.generators), f)
+    again_plain = _eliminated(seeded, f)
     assert seeded._gb is not None and seeded._gb.basis == seeded.generators
     with _known_counts() as seen:
         again = saturate(seeded, f)
@@ -1096,7 +1199,7 @@ def test_one_signature_step_certifies_trivial_saturations_only():
     routes = {"proved": 0, "larger": 0, "unit": 0, "constant term": 0}
     for ideal, f in _certificate_cases():
         gb = ideal.groebner()
-        plain = saturate(Ideal(ideal.ring, ideal.generators), f)  # no basis cached
+        plain = _eliminated(ideal, f)
         r = normal_form(f, gb)
         with _known_counts() as seen:
             sat = saturate(ideal, f)
@@ -1144,7 +1247,7 @@ def test_a_saturation_by_a_member_of_the_ideal_eliminates_nothing(monkeypatch):
         if f.terms:
             members.append(f)
     for f in members:
-        plain = saturate(Ideal(r, gens), f)  # no basis cached: an elimination
+        plain = _eliminated(Ideal(r, gens), f)
         assert plain.generators == (r.one(),)
         ideal = Ideal(r, gens)
         ideal.groebner()

@@ -2,10 +2,11 @@
 
 Seeded small ideals (3 variables, degree <= 2, at most 3 generators)
 keep sympy's running time to about a second.  A second set has 4
-variables and no constant term, under four orders, block orders
-included, so it checks the signature loop that such ideals take.  A
-third set checks saturations of homogeneous ideals against sympy's own
-elimination of t from I + (t*f - 1), on both of saturate's routes.
+variables, 3 generators and no constant term, under four orders, block
+orders included, so it checks the signature loop that such ideals take.
+A third set checks saturations of seeded ideals, homogeneous and not,
+against sympy's own elimination of t from I + (t*f - 1), on both of
+saturate's routes.
 """
 
 import random
@@ -129,7 +130,8 @@ def test_bases_of_ideals_through_the_origin_match_sympy(order, sympy_order, seed
             else:
                 gens.append(_random_poly(ring, rng, rng.randint(2, 4), 3, mindeg=1))
         ideal = Ideal(ring, gens)
-        # every term has degree >= 1, so buchberger takes its signature loop
+        # three generators in four variables, and no term of degree 0, so
+        # no affine chart: buchberger takes its signature loop
         assert all(sum(m) for g in ideal.generators for m, _ in g.terms)
         if not ideal.generators:
             continue
@@ -138,8 +140,34 @@ def test_bases_of_ideals_through_the_origin_match_sympy(order, sympy_order, seed
         assert sorted(sorted(dict(g.terms).items()) for g in ours.basis) == expected
 
 
+def _saturation_cases():
+    """Seeded ideals and multipliers: homogeneous ones, then ones whose
+    generators and multipliers may have terms of any degree up to 2."""
+    rng = random.Random(101)
+    for homogeneous, count in ((True, 16), (False, 20)):
+        for _ in range(count):
+            n = rng.randint(3, 4)
+            ring = PolyRing(("x", "y", "z", "w")[:n], GREVLEX)
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                d = rng.randint(1, 2)
+                gens.append(_random_poly(ring, rng, rng.randint(1, 3), d, d if homogeneous else 0))
+            ideal = Ideal(ring, gens)
+            if not ideal.generators:
+                continue
+            pick = rng.random()
+            if pick < 0.4:
+                f = ring.gens()[rng.randrange(n)]
+            elif pick < 0.6:
+                f = ring.sum_of_gens()
+            else:
+                f = _random_poly(ring, rng, 2, 1, 1 if homogeneous else 0)
+            if f.terms:
+                yield ideal, f
+
+
 def test_saturations_match_sympy_elimination(monkeypatch):
-    # each ideal's grevlex basis is cached first, so saturate may prove a
+    # saturate computes each ideal's grevlex basis first, so it may prove a
     # saturation trivial with one signature step; record which way it went
     proved = []
     colon_is_trivial = algstat.groebner._colon_is_trivial
@@ -149,29 +177,12 @@ def test_saturations_match_sympy_elimination(monkeypatch):
         return proved[-1]
 
     monkeypatch.setattr(algstat.groebner, "_colon_is_trivial", spy)
-    rng = random.Random(101)
     t = sympy.Symbol("t")
-    for _ in range(16):
-        n = rng.randint(3, 4)
-        ring = PolyRing(("x", "y", "z", "w")[:n], GREVLEX)
-        symbols = SYMBOLS4[:n]
-        gens = []
-        for _ in range(rng.randint(1, 3)):
-            d = rng.randint(1, 2)
-            gens.append(_random_poly(ring, rng, rng.randint(1, 3), d, mindeg=d))
-        ideal = Ideal(ring, gens)
-        if not ideal.generators:
-            continue
-        ideal.groebner()
-        pick = rng.random()
-        if pick < 0.4:
-            f = ring.gens()[rng.randrange(n)]
-        elif pick < 0.6:
-            f = ring.sum_of_gens()
-        else:
-            f = _random_poly(ring, rng, 2, 1, mindeg=1)
-        if not f.terms:
-            continue
+    inhomogeneous = 0
+    for ideal, f in _saturation_cases():
+        ring = ideal.ring
+        symbols = SYMBOLS4[: ring.nvars]
+        inhomogeneous += not all(g.is_homogeneous() for g in ideal.generators + (f,))
         ours = saturate(ideal, f)
         system = [_to_sympy(g, symbols) for g in ideal.generators]
         system.append(t * _to_sympy(f, symbols) - 1)
@@ -182,4 +193,4 @@ def test_saturations_match_sympy_elimination(monkeypatch):
                                symbols, "grevlex")[1]
         assert sorted(sorted(dict(g.terms).items()) for g in ours.generators) == reduced
     assert proved.count(True) >= 3 and proved.count(False) >= 3
-
+    assert inhomogeneous >= 10, inhomogeneous
