@@ -1,27 +1,26 @@
 """Groebner bases and ideal arithmetic.
 
 The engine has two loops that share one reduction kernel, one reducer
-index and one interreduction, so either gives the same reduced
-basis.  Most ideals take an incremental signature loop (Faugere's F5,
-2002, in the framework of Gao, Volny and Wang, Math. Comp. 2016), which
-skips the pairs that would reduce to zero on a regular sequence: the
-Lagrange eliminations, homogeneous and lattice ideals, and every
-saturation of a grevlex ideal, which adds the one input t*f - 1 to the
-ideal's basis.  Two kinds take Buchberger's algorithm with normal-pair
+index and one interreduction, so either gives the same reduced basis.
+Every ideal takes an incremental signature loop (Faugere's F5, 2002, in
+the framework of Gao, Volny and Wang, Math. Comp. 2016), which skips
+the pairs that would reduce to zero on a regular sequence, unless its
+inputs hold an affine chart, a linear form with a constant term: the
+ML-degree fibers.  Those take Buchberger's algorithm with normal-pair
 selection (a degree-ordered queue) and the standard pair filters
-(product and chain criteria, applied Gebauer-Moeller style): an input
-that is an affine chart (the ML-degree fibers), and more inputs than
-variables, which are never a regular sequence (the toric relations of a
-large correspondence).  On both, signatures were measured and lost (see
-buchberger).  Every reduction, the public `normal_form` included, runs in
-one fraction-free kernel over integer terms; `normal_form` divides the
-kernel's remainder by the scale it accumulated.  The kernel keeps the
-part of the dividend still to be reduced as lazily shifted reducer
-multiples merged in a heap (Johnson, "Sparse polynomial arithmetic",
-1974; Monagan and Pearce, "Polynomial division using dynamic arrays,
-heaps, and packed exponent vectors", 2007): a reduction step adds one
-stream to the heap, and each term of a reducer multiple is made once,
-when it becomes the leading term.
+(product and chain criteria, applied Gebauer-Moeller style), since
+signatures were measured there and lost (see buchberger).  The
+Lagrange eliminations, homogeneous and lattice ideals and the
+saturations, with t*f - 1, take the signature loop.  Every
+reduction, the public `normal_form` included, runs in one fraction-free
+kernel over integer terms; `normal_form` divides the kernel's remainder
+by the scale it accumulated.  The kernel keeps the part of the dividend
+still to be reduced as lazily shifted reducer multiples merged in a heap
+(Johnson, "Sparse polynomial arithmetic", 1974; Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", 2007): a reduction step adds one stream to the heap, and each
+term of a reducer multiple is made once, when it becomes the leading
+term.
 
 A kernel term is (key, exponents, coefficient) with the first two packed
 into one int each (Monagan and Pearce, "Sparse polynomial division using
@@ -57,21 +56,20 @@ are cleared, and the elements reduce as basis elements.
 The reduced basis handed back is monic over Q, sorted ascending by
 leading term, and therefore canonical for the ideal and order.
 
-A known basis is not computed twice, and every saturation under grevlex
-starts from its ideal's reduced basis G, cached or computed then.  An
-elimination under grevlex returns its reduced basis as the result's
-cached basis.  A saturation first reduces f by G.  A zero remainder
-means f is in I, and the saturation is the unit ideal.  Otherwise one
-signature step runs for G + (f) (see saturate).  If it makes no
-reduction to zero, then I : f = I (Gao, Volny and Wang, 2016), the
-saturation is I, and G is returned as it stands: no auxiliary variable,
-no block order, no elimination.  Most saturations on the toric path are
-of this kind: the multiplier is already a nonzerodivisor.  Otherwise it
-runs Buchberger on G + (t*f - 1) without forming S-pairs within G
-(Gebauer and Moeller, 1988), in one signature step.  That is exact
-because block(1) restricted to t-free monomials is grevlex: G stays a
-Groebner basis after t is added, so each pair within it has a standard
-representation.  The result is the same reduced basis.
+A known basis is not computed twice.  An elimination under grevlex
+returns its reduced basis as the result's cached basis.  A saturation of
+a grevlex ideal I whose basis G is cached first reduces f by G.  A zero
+remainder means f is in I, and the saturation is the unit ideal.
+Otherwise one signature step runs for G + (f) (see saturate).  If it
+makes no reduction to zero, then I : f = I (Gao, Volny and Wang, 2016),
+the saturation is I, and G is returned as it stands: no auxiliary
+variable, no block order, no elimination.  Most saturations on the toric
+path are of this kind: the multiplier is already a nonzerodivisor.
+Otherwise it runs Buchberger on G + (t*f - 1) without forming S-pairs
+within G (Gebauer and Moeller, 1988), which is one signature step.  That
+is exact because block(1) restricted to t-free monomials is grevlex: G
+stays a Groebner basis after t is added, so each pair within it has a
+standard representation.  The result is the same reduced basis.
 
 Also here: elimination via block orders, saturation and intersection
 by the auxiliary-variable trick (t*f - 1), minors of polynomial
@@ -580,37 +578,33 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     returned basis is the same reduced one, ascending by leading term,
     whichever ran.
 
-    * The pair loop runs (_pair_loop), Buchberger's pairs with the
-      product and chain criteria, when an input outside the known prefix
-      is an affine chart (a linear form with a constant term, as the
-      chart sum p - 1 of the ML-degree fibers), or when there are more
-      such inputs than variables.
+    * When an input outside the known prefix is an affine chart, a
+      linear form with a constant term, the pair loop runs (_pair_loop):
+      Buchberger's pairs with the product and chain criteria.  The
+      ML-degree fibers (the chart sum p - 1 and integer data) take it.
     * Otherwise the signature loop runs (_signature_loop): incremental,
       signature-based, so it skips the pairs that would reduce to zero
       on a regular sequence.  The Lagrange eliminations, homogeneous and
-      lattice ideals with few generators, and every saturation (its
-      known basis G, then the one input t*f - 1) take it.
+      lattice ideals and the saturations (t*f - 1) take it.
 
-    Each clause of the rule was measured.  In the pair loop the Lagrange
-    eliminations reduce many pairs to zero (658 of 773 in the binary
-    3-chain's), and the signature loop reduces none of them (135
-    reductions in all).  On the ML-degree fibers it does not pay:
-    over one pass of the ML-degree benchmark it made 1027 reductions
-    against the pair loop's 578 and took three times as long.  Inputs
-    that outnumber the variables are never a regular sequence, and one
-    at a time their intermediate ideals can be far larger than the
-    ideal: the toric relations of the binary 4-chain's correspondence
-    (86 generators in 32 variables) reach elements of degree 11 with
-    21 734 terms there, against a basis of 164 elements of at most 979
-    terms, and took 23.4 s in the signature loop against 3.7 s in the
-    pair loop (6.4 s with the toric ideal first, 592 s in descending
-    order, 23.7 s interreduced after each input).  A saturation starts
-    from the reduced basis G (see saturate), so its one input t*f - 1
-    is a single signature step over G: on the toric benchmark that
-    halved the reductions to zero (1514 to 726 per pass) and cut its
-    pass time by about a fifth, and the binary 4-chain's correspondence
-    went from 22 s to about 5 s.  The test looks at the number of
-    inputs and, for inputs with a constant term, at their degree.
+    The rule exists because the signature loop was measured on every
+    call.  On the Lagrange eliminations the pair loop's criteria keep
+    many pairs that reduce to zero (658 of 773 in the binary 3-chain's),
+    and the signature loop reduces none of them (135 reductions in all).
+    On the ML-degree fibers it does not pay: over one pass of the
+    ML-degree benchmark it made 1027 reductions against the pair loop's
+    578 and took three times as long.  On the saturations it pays on
+    the toric benchmark (its pass took about 0.7 of its pair-loop time)
+    and on the binary star (about a fifth), and loses on the binary
+    4-chain (about 1.2 times as long).  The 4-chain's toric relations,
+    86 generators in 32 variables, are no regular sequence, and taken
+    one at a time their intermediate ideals reach elements of degree 11
+    with 21 734 terms, where the final basis has 164 elements of at most
+    979 terms.  Sending inputs that outnumber the variables to the pair
+    loop fixed the 4-chain but lost on the benchmark and on the star,
+    which has 84 generators in 32 variables: the rule has no such
+    clause.  The test looks at the degree of the inputs that have a
+    constant term.
 
     When the ideal's leading generators are known to be a Groebner basis
     already (``saturate`` marks them so), they are registered as
@@ -629,9 +623,9 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     inputs = [_primitive_terms(g, pack) for g in gens]
     inputs.sort(key=lambda t: (t[0][0], t))
     basis = _divisors(ideal.generators[:known], pack)
-    # an affine chart is a linear form with a constant term; a constant term comes last
-    chart = any(not any(g.terms[-1][0]) and g.total_degree() == 1 for g in gens)
-    loop = _pair_loop if chart or len(gens) > ring.nvars else _signature_loop
+    # an affine chart is a linear form with a constant term, which comes last
+    chart = any(g.total_degree() == 1 and not any(g.terms[-1][0]) for g in gens)
+    loop = _pair_loop if chart else _signature_loop
     loop(inputs, basis, pack)
     reduced = _interreduce([t for _, _, t in basis.items], pack)
     unpack = pack.unpack
@@ -961,20 +955,18 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     """The saturation I : f^infinity: eliminate t from I + (t*f - 1).
 
     t is a fresh auxiliary variable, so the ring may use any names.  When
-    the ring is grevlex, the saturation starts from I's reduced basis G:
-    the cached one (I came from ``eliminate`` or ``groebner()`` was
-    called on it), or else the one ``groebner()`` computes now, in
-    whichever loop buchberger's rule picks for I's generators.  Two
-    things follow.
+    the ring is grevlex and I's reduced basis G is already known (I came
+    from ``eliminate`` or ``groebner()`` was called on it), two things
+    change.
 
     First, two kinds of saturation need no auxiliary variable and no
     elimination.  Let r be the remainder of f on division by G.  If r is
     zero, f lies in I, so I : f holds 1 and the result is the unit ideal,
     returned with (1) as its cached basis, as the elimination would give
     it.  A saturation that changes nothing is proved so by one signature
-    step (_colon_is_trivial).  If r is nonzero and has no constant term,
-    one step of the signature loop (_signature_step) runs for G + (r) in
-    the ring's own order.  Each reduction to zero in it has a signature
+    step (_colon_is_trivial).  If r is nonzero, one step of the
+    signature loop (_signature_step) runs for G + (r) in the ring's own
+    order.  Each reduction to zero in it has a signature
     that no leading monomial of G divides, and that signature is the
     leading monomial of some u with u*r, and so u*f, in I: an element of
     I : f outside I.  When the step ends, the leading monomials of G and
@@ -991,24 +983,28 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     Second, the elimination starts from G + (t*f - 1), and Buchberger
     forms no S-pair within G.  This is exact: block(1) restricted to
     t-free monomials is grevlex, so G stays a Groebner basis of I*Q[t, x],
-    and every pair within it has a standard representation over it.  Its
-    one input t*f - 1 takes the signature loop, as one signature step
-    over G.  t*f - 1 is a nonzerodivisor modulo G (its constant term is
-    a unit), so a leading monomial of G divides every syzygy signature of
-    that step, the F5 criterion skips each such pair, and the step
-    reduces nothing to zero.  The pair loop, on the same input, reduces
-    many pairs to zero, and on I's own generators the signature loop can
-    be far slower than the pair loop (see buchberger): hence the basis
-    first, then the step.  Under any other order G would not be a basis
-    for block(1), and I is saturated from its generators.  The result is
-    the same reduced basis in every case.
+    and every pair within it has a standard representation over it.  The
+    one input t*f - 1 takes the signature loop (see buchberger), as one
+    signature step over G.  It is a nonzerodivisor modulo G (its
+    constant term is a unit), so a leading monomial of G divides every
+    syzygy signature of that step, the F5 criterion skips each such
+    pair, and the step reduces nothing to zero.
+
+    Without a cached G, or under any other order, where G would not be a
+    basis for block(1), I is saturated from its generators.  Under
+    grevlex that is the same work in the same loop: buchberger sorts
+    t*f - 1, whose leading monomial holds t, after I's generators, so
+    the signature loop builds a basis of I and then runs the one step.
+    Computing I's reduced basis first, to try the two shortcuts above on
+    it, made a toric benchmark pass slower in 5 of 6 runs.  The result
+    is the same reduced basis in every case.
     """
     ring = ideal.ring
     if f.ring != ring:
         raise ValueError("polynomial lives in a different ring")
     if not f.terms:
         raise ValueError("cannot saturate by the zero polynomial")
-    gb = ideal.groebner() if ring.order == GREVLEX else None
+    gb = ideal._gb if ring.order == GREVLEX else None
     if gb is not None:
         pack = _packing(GREVLEX, ring.nvars)
         if gb._reducers is None:
@@ -1033,17 +1029,14 @@ def _colon_is_trivial(gb: GroebnerBasis, r) -> bool:
     """Whether one signature step proves I : f = I for I with reduced basis gb.
 
     r is the remainder of f on gb's reducer index, nonzero (f is not in
-    I).  False when the step finds an element of I : f outside I, and
-    when it is not tried: a remainder with a constant term, which then
-    goes to the elimination.  The correspondences never make one (they
-    saturate homogeneous bases at homogeneous multipliers); the fibers
-    of a precomputed LikelihoodIdeal in ml_degree do, and the step has
-    not been measured on them.  The step appends to a fresh reducer
-    index, so the basis's own index, which normal_form scans, stays as
-    it is.
+    I).  False when the step finds an element of I : f outside I.  The
+    argument (see saturate) holds for any r and order, a constant term
+    included: the fibers of a precomputed LikelihoodIdeal in ml_degree
+    make such remainders, and proving their p_i saturations trivial made
+    ml_degree on the corpus correspondences 1.2 to 1.9 times as fast as
+    eliminating t did.  The step appends to a fresh reducer index, so
+    the basis's own index, which normal_form scans, stays as it is.
     """
-    if not r[-1][1]:
-        return False
     pack = _packing(gb.order, gb.ring.nvars)
     index = _Reducers(pack, [t for _, _, t in gb._reducers.items])
     return _signature_step(r, index, pack, stop=True)

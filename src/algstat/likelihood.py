@@ -128,15 +128,6 @@ def compute_lc_toric(model, saturation: str = "hyperplane") -> LikelihoodIdeal:
     cached basis of the one before, and p_i is a nonzerodivisor modulo
     it, so saturate proves it trivial with one signature step and runs
     no elimination.
-
-    The sum p saturation computes the reduced basis G of these relations
-    first, then eliminates t from G + (t * sum p - 1) in one signature
-    step (see ``saturate``).  Past corpus size the relations outnumber
-    the variables (86 in 32 on the binary 4-chain), so buchberger takes
-    its pair loop for G, where the signature loop, one relation at a
-    time, builds intermediate bases far larger than G.  The binary
-    4-chain's correspondence takes about 5 s this way; eliminating t
-    from the relations themselves in the pair loop took about 22 s.
     """
     if saturation not in ("full", "hyperplane"):
         raise InputError("saturation mode must be 'full' or 'hyperplane'")

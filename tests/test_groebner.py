@@ -704,35 +704,43 @@ def _origin_cases():
             yield ideal
 
 
-def _saturation_case(gens, f):
-    """I + (t*f - 1) as saturate hands it to buchberger: the reduced
-    grevlex basis G of I as a known prefix under block(1), then t*f - 1."""
+def _saturation_case(gens, f, known):
+    """I + (t*f - 1) under block(1) as saturate hands it to buchberger:
+    with I's grevlex basis G cached, G as a known prefix, then t*f - 1;
+    without, I's generators, then t*f - 1."""
     r = gens[0].ring
-    basis = Ideal(r, gens).groebner().basis
+    start = Ideal(r, gens).groebner().basis if known else gens
     ext = _ring(("t",) + r.variables, MonomialOrder.block(1))
     t = ext.gens()[0]
-    ideal = Ideal(ext, [map_to_ring(g, ext) for g in basis] + [t * map_to_ring(f, ext) - 1])
-    ideal._known = len(basis)
+    ideal = Ideal(ext, [map_to_ring(g, ext) for g in start] + [t * map_to_ring(f, ext) - 1])
+    ideal._known = len(start) if known else 0
     return ideal
 
 
 def _saturation_cases():
     """Saturation-shaped ideals: named ones (a lattice ideal at a
     coordinate and at sum p, ideals with a component on f = 0, the
-    conic's toric relations at sum p), then seeded random ones."""
+    conic's toric relations at sum p), then seeded random ones, each
+    with and without a cached basis."""
+    for gens, f in _saturation_inputs():
+        yield _saturation_case(gens, f, True)
+        yield _saturation_case(gens, f, False)
+
+
+def _saturation_inputs():
     r = _ring(("x", "y", "z", "w"))
     x, y, z, w = r.gens()
-    yield _saturation_case([x * z - y**2, y * w - z**2], y)  # adds x*w - y*z
-    yield _saturation_case([x * z - y**2, y * w - z**2], r.sum_of_gens())
-    yield _saturation_case([x * y, x * z, x * w], x)
-    yield _saturation_case([x**2 * y - z * w, x * z**2 - y * w**2], x * y)
-    yield _saturation_case([x**2, x * y, z * w - y**2], x + w)
+    yield [x * z - y**2, y * w - z**2], y  # adds x*w - y*z
+    yield [x * z - y**2, y * w - z**2], r.sum_of_gens()
+    yield [x * y, x * z, x * w], x
+    yield [x**2 * y - z * w, x * z**2 - y * w**2], x * y
+    yield [x**2, x * y, z * w - y**2], x + w
     pu = _ring(("p_0", "p_1", "p_2", "u_0", "u_1", "u_2"))
     p, u = pu.gens()[:3], pu.gens()[3:]
     a = IntMatrix([[2, 1, 0], [0, 1, 2]])
     relations = minors(2, mul_int_poly(a, PolyMatrix([[p[i], u[i]] for i in range(3)], pu)))
     conic = [4 * p[0] * p[2] - p[1] ** 2] + list(relations.generators)
-    yield _saturation_case(conic, sum(p[1:], p[0]))
+    yield conic, sum(p[1:], p[0])
     rng = random.Random(151)
     for _ in range(12):
         r = _ring(tuple(f"x_{k}" for k in range(rng.randint(2, 4))))
@@ -745,7 +753,7 @@ def _saturation_cases():
         gens = [g for g in gens if g.terms]
         f = v if rng.random() < 0.6 else r.sum_of_gens()
         if gens:
-            yield _saturation_case(gens, f)
+            yield gens, f
 
 
 def test_signature_loop_matches_the_pair_loop():
@@ -755,10 +763,10 @@ def test_signature_loop_matches_the_pair_loop():
     # no later pair whose signature it divides may be reduced, and neither
     # may one whose signature a leading monomial of the basis the step
     # started from divides (the F5 criterion), though that basis is not
-    # reduced.  t*f - 1 is a nonzerodivisor modulo G (its constant term is
-    # a unit), so a leading monomial of G divides every syzygy signature
-    # of a saturation's step: the step reduces nothing to zero, where the
-    # pair loop does.
+    # reduced.  t*f - 1 is a nonzerodivisor modulo I (its constant term is
+    # a unit), and it comes last, after a basis of I: a leading monomial of
+    # that basis divides every syzygy signature of its step, so the step
+    # reduces nothing to zero, where the pair loop does.
     zeros = regular = unreduced = 0
     saturations = {"pair loop zeros": 0, "enlarged": 0, "unchanged": 0}
     cases = itertools.chain(
@@ -773,12 +781,15 @@ def test_signature_loop_matches_the_pair_loop():
         assert ideal.groebner().basis == buchberger(Ideal(ideal.ring, ideal.generators)).basis
         pack = _packing(ideal.ring.order, ideal.ring.nvars)
         if saturation:
-            assert not any(zero for _, step in steps for _, zero in step)
+            # with a known prefix G the one step is t*f - 1's, and else the last
+            assert len(steps) == 1 or not ideal._known
+            assert not any(zero for _, zero in steps[-1][1])
             saturations["pair loop zeros"] += pair_zeros
-            # t is variable 0, so a t-free term has its low exponent field clear
-            t_free = [t for t in pair if not any(m & ((1 << 64) - 1) for _, m, _ in t)]
-            known = [_primitive_terms(g, pack) for g in ideal.generators[: ideal._known]]
-            saturations["unchanged" if t_free == known else "enlarged"] += 1
+            if ideal._known:
+                # t is variable 0, so a t-free term has its low exponent field clear
+                t_free = [t for t in pair if not any(m & ((1 << 64) - 1) for _, m, _ in t)]
+                known = [_primitive_terms(g, pack) for g in ideal.generators[: ideal._known]]
+                saturations["unchanged" if t_free == known else "enlarged"] += 1
         keys = [key for _, step in steps for key, _ in step]
         monomials = _monomials_by_key(ideal.ring.order, ideal.ring.nvars, keys)
         for start, step in steps:
@@ -803,15 +814,15 @@ def test_signature_loop_matches_the_pair_loop():
 
 
 def test_the_loop_rule_chooses_the_loop(monkeypatch, hw_ideal):
-    # The pair loop runs on an affine chart or on more inputs than
-    # variables, the signature loop otherwise: a Lagrange elimination (2
-    # multipliers, 3 + 3 variables) takes the second, an ML-degree fiber
-    # (the chart sum p - 1 and integer data, 2 + 3 variables) and a
-    # homogeneous ideal with more generators than variables the first.  A
-    # saturation computes its ideal's basis first; one signature step
-    # proves it trivial when the multiplier is a nonzerodivisor, and
-    # otherwise the elimination is one signature-loop call with one
-    # input, t*f - 1, after the basis.
+    # The pair loop runs only on an affine chart, a linear form with a
+    # constant term, and the signature loop on everything else: a Lagrange
+    # elimination (2 multipliers, 3 + 3 variables), a saturation (t*f - 1)
+    # and a homogeneous ideal with more generators than variables take the
+    # second, an ML-degree fiber (the chart sum p - 1 and integer data,
+    # 2 + 3 variables) the first.  A saturation of an ideal whose basis is
+    # cached, by a nonzerodivisor, is proved trivial by one signature step
+    # and runs neither loop; without a cached basis it is one
+    # signature-loop call on I's generators and t*f - 1.
     calls = []
     for name in ("_pair_loop", "_signature_loop"):
         loop = getattr(algstat.groebner, name)
@@ -831,19 +842,24 @@ def test_the_loop_rule_chooses_the_loop(monkeypatch, hw_ideal):
     assert calls == []
     uncached = Ideal(hw_ideal.ring, hw_ideal.generators)
     assert saturate(uncached, p_0).generators == hw_ideal.groebner().basis
-    assert calls == [("_signature_loop", 3, 1)]  # the basis; then the proof
+    assert calls == [("_signature_loop", 4, 2)]
     calls.clear()
     r = _ring(("x", "y", "z"))
     sat = saturate(_ideal(r, "x*y", "x*z"), parse_polynomial("x", r))
     assert [print_polynomial(g) for g in sat.generators] == ["z", "y"]
-    assert calls == [("_signature_loop", 3, 2), ("_signature_loop", 4, 1)]
+    assert calls == [("_signature_loop", 4, 3)]
     calls.clear()
     ml_degree(hw_ideal, trials=1)
     assert {name for name, n, _ in calls if n == 5} == {"_pair_loop"}
     calls.clear()
     quadrics = _ideal(r, "x^2", "x*y", "x*z", "y^2", "y*z", "z^2 - x*y")
     assert len(quadrics.groebner()) == 6
-    assert calls == [("_pair_loop", 3, 6)]
+    # a constant term alone is no chart
+    assert [print_polynomial(g) for g in _ideal(r, "x^2 - 1", "x*y - 1").groebner()] == [
+        "x - y",
+        "y^2 - 1",
+    ]
+    assert calls == [("_signature_loop", 3, 6), ("_signature_loop", 3, 2)]
 
 
 def test_buchberger_interreduces_once_in_either_loop(monkeypatch, hw_ideal):
@@ -858,9 +874,7 @@ def test_buchberger_interreduces_once_in_either_loop(monkeypatch, hw_ideal):
 
         monkeypatch.setattr(algstat.groebner, name, spy)
     r = _ring(("x", "y", "z", "w"))
-    # 3 inputs and then 4 in 4 variables: only the chart x + y - 1 sends
-    # the second to the pair loop
-    gens = ("x*y - z^2", "y*z - w^2", "x*w - y^2")
+    gens = ("x*y - z^2", "y*z - w^2", "x*w - y^2", "x^2 - z*w", "y^3 - x*z*w")
     for extra, loop in (((), "_signature_loop"), (("x + y - 1",), "_pair_loop")):
         events.clear()
         _ideal(r, *gens, *extra).groebner()
@@ -1053,18 +1067,6 @@ def test_saturation_is_idempotent_on_random_ideals():
 # ------------------------------------------------------------ known bases
 
 
-def _eliminated(ideal, f):
-    """I : f^infinity as the elimination of t from I + (t*f - 1), formed
-    from I's generators: the reference that saturate's shortcuts and
-    known bases must agree with."""
-
-    def build(aux, _):
-        t = aux[0]
-        return [map_to_ring(g, t.ring) for g in ideal.generators] + [t * map_to_ring(f, t.ring) - 1]
-
-    return algstat.groebner._eliminate_auxiliary(ideal.ring, 1, build)
-
-
 @contextmanager
 def _known_counts():
     """Record how many generators each buchberger call took as a known basis."""
@@ -1099,20 +1101,17 @@ def _expected_known_counts(basis, f, saturated):
     basis ``basis`` is cached: nothing when f lies in the ideal (the unit
     ideal needs no elimination) or one signature step proves the
     saturation trivial, else one elimination from the basis.  The step
-    is tried when f's remainder is nonzero with no constant term, and it
-    proves the saturation trivial exactly when it is."""
+    is tried when f's remainder is nonzero, and it proves the saturation
+    trivial exactly when it is."""
     r = normal_form(f, basis)
-    if not r.terms:
-        return []
-    tried = all(any(m) for m, _ in r.terms)
-    return [] if tried and saturated == basis else [len(basis)]
+    return [] if not r.terms or saturated == basis else [len(basis)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(_grevlex_ideal_and_multiplier())
 def test_saturate_from_a_known_basis_matches_saturate_from_generators(case):
     ideal, f = case
-    plain = _eliminated(ideal, f)
+    plain = saturate(Ideal(ideal.ring, ideal.generators), f)
     gb = ideal.groebner()
     with _known_counts() as seen:
         seeded = saturate(ideal, f)
@@ -1120,8 +1119,8 @@ def test_saturate_from_a_known_basis_matches_saturate_from_generators(case):
     assert seeded.generators == plain.generators
     # the saturation carries its basis, so the next one starts from it too;
     # saturating again changes nothing, so the step proves that unless
-    # the remainder of f is zero or has a constant term
-    again_plain = _eliminated(seeded, f)
+    # the remainder of f is zero
+    again_plain = saturate(Ideal(ideal.ring, seeded.generators), f)
     assert seeded._gb is not None and seeded._gb.basis == seeded.generators
     with _known_counts() as seen:
         again = saturate(seeded, f)
@@ -1159,6 +1158,8 @@ def _certificate_cases():
     yield _ideal(r, "x*y - z^2", "y^3 - x"), parse_polynomial("x*y - z^2", r)  # f in I
     yield _ideal(r, "x^2 - y"), parse_polynomial("x^2 + 1", r)  # remainder y + 1
     yield _ideal(r, "x*y + x"), parse_polynomial("x*z + y + 1", r)  # remainder y + 1
+    yield _ideal(r, "x*y + x"), parse_polynomial("y + 1", r)  # gives (x)
+    yield _ideal(r, "x^2 - 1", "y*z"), parse_polynomial("x - 1", r)  # gives (x + 1, y*z)
     yield _ideal(r, "4*x*z - y^2"), r.sum_of_gens()  # the conic at sum p
     yield _ideal(r, "x^2 + x*y + x*z", "x*y + y^2 + y*z"), r.sum_of_gens()
     yield _ideal(r, "x*y - z^2"), x  # a variable, a nonzerodivisor
@@ -1195,11 +1196,13 @@ def _colon_is_trivial(gb, f):
 def test_one_signature_step_certifies_trivial_saturations_only():
     # the step's claim checked against the elimination in both directions:
     # a proof of I : f = I gives I, and an early exit means the saturation
-    # is strictly larger than I
-    routes = {"proved": 0, "larger": 0, "unit": 0, "constant term": 0}
+    # is strictly larger than I; a remainder with a constant term is tried
+    # like any other
+    routes = {"proved": 0, "larger": 0, "unit": 0}
+    constant = {"proved": 0, "larger": 0}
     for ideal, f in _certificate_cases():
         gb = ideal.groebner()
-        plain = _eliminated(ideal, f)
+        plain = saturate(Ideal(ideal.ring, ideal.generators), f)  # no basis cached
         r = normal_form(f, gb)
         with _known_counts() as seen:
             sat = saturate(ideal, f)
@@ -1208,21 +1211,20 @@ def test_one_signature_step_certifies_trivial_saturations_only():
             routes["unit"] += 1
             assert [print_polynomial(g) for g in plain.generators] == ["1"]
             assert seen == [] and sat._gb.basis == sat.generators
-        elif not all(any(m) for m, _ in r.terms):
-            routes["constant term"] += 1
-            assert not _colon_is_trivial(gb, f)
-            assert seen == [len(gb.basis)]
-        elif _colon_is_trivial(gb, f):
-            routes["proved"] += 1
+            continue
+        if _colon_is_trivial(gb, f):
+            route = "proved"
             assert ideal_equal(ideal, plain) and plain.generators == gb.basis
             assert seen == [] and sat._gb.basis == gb.basis
         else:
-            routes["larger"] += 1
+            route = "larger"
             assert all(ideal_contains(plain, g) for g in ideal.generators)
             assert not ideal_equal(ideal, plain)
             assert seen == [len(gb.basis)]
-    assert routes["proved"] >= 30 and routes["larger"] >= 20
-    assert routes["unit"] >= 1 and routes["constant term"] >= 2
+        routes[route] += 1
+        constant[route] += not all(any(m) for m, _ in r.terms)
+    assert routes["proved"] >= 30 and routes["larger"] >= 20 and routes["unit"] >= 1
+    assert constant["proved"] >= 2 and constant["larger"] >= 2, constant
 
 
 def test_a_saturation_by_a_member_of_the_ideal_eliminates_nothing(monkeypatch):
@@ -1247,7 +1249,7 @@ def test_a_saturation_by_a_member_of_the_ideal_eliminates_nothing(monkeypatch):
         if f.terms:
             members.append(f)
     for f in members:
-        plain = _eliminated(Ideal(r, gens), f)
+        plain = saturate(Ideal(r, gens), f)  # no basis cached: an elimination
         assert plain.generators == (r.one(),)
         ideal = Ideal(r, gens)
         ideal.groebner()

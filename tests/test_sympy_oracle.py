@@ -2,9 +2,9 @@
 
 Seeded small ideals (3 variables, degree <= 2, at most 3 generators)
 keep sympy's running time to about a second.  A second set has 4
-variables, 3 generators and no constant term, under four orders, block
-orders included, so it checks the signature loop that such ideals take.
-A third set checks saturations of seeded ideals, homogeneous and not,
+variables and no constant term, under four orders, block orders
+included, so it checks the signature loop that such ideals take.  A
+third set checks saturations of seeded ideals, homogeneous and not,
 against sympy's own elimination of t from I + (t*f - 1), on both of
 saturate's routes.
 """
@@ -130,8 +130,7 @@ def test_bases_of_ideals_through_the_origin_match_sympy(order, sympy_order, seed
             else:
                 gens.append(_random_poly(ring, rng, rng.randint(2, 4), 3, mindeg=1))
         ideal = Ideal(ring, gens)
-        # three generators in four variables, and no term of degree 0, so
-        # no affine chart: buchberger takes its signature loop
+        # every term has degree >= 1, so buchberger takes its signature loop
         assert all(sum(m) for g in ideal.generators for m, _ in g.terms)
         if not ideal.generators:
             continue
@@ -167,8 +166,9 @@ def _saturation_cases():
 
 
 def test_saturations_match_sympy_elimination(monkeypatch):
-    # saturate computes each ideal's grevlex basis first, so it may prove a
-    # saturation trivial with one signature step; record which way it went
+    # each ideal is saturated twice: from its generators, and with its
+    # grevlex basis cached, where saturate may prove the saturation
+    # trivial with one signature step; record which way that went
     proved = []
     colon_is_trivial = algstat.groebner._colon_is_trivial
 
@@ -183,7 +183,9 @@ def test_saturations_match_sympy_elimination(monkeypatch):
         ring = ideal.ring
         symbols = SYMBOLS4[: ring.nvars]
         inhomogeneous += not all(g.is_homogeneous() for g in ideal.generators + (f,))
-        ours = saturate(ideal, f)
+        ours = [saturate(ideal, f)]
+        ideal.groebner()
+        ours.append(saturate(ideal, f))
         system = [_to_sympy(g, symbols) for g in ideal.generators]
         system.append(t * _to_sympy(f, symbols) - 1)
         # grevlex on t, then grevlex on the rest: t's elimination order
@@ -191,6 +193,7 @@ def test_saturations_match_sympy_elimination(monkeypatch):
         free = [g for g in block.exprs if not g.has(t)]
         reduced = _sympy_basis(Ideal(ring, [_from_poly(g, ring, symbols) for g in free]),
                                symbols, "grevlex")[1]
-        assert sorted(sorted(dict(g.terms).items()) for g in ours.generators) == reduced
+        for sat in ours:
+            assert sorted(sorted(dict(g.terms).items()) for g in sat.generators) == reduced
     assert proved.count(True) >= 3 and proved.count(False) >= 3
     assert inhomogeneous >= 10, inhomogeneous
