@@ -28,9 +28,9 @@ from .errors import GuardrailError, InputError
 from .exactmath import IntMatrix, format_int_matrix, parse_int_matrix
 from .groebner import Ideal, format_ideal, parse_ideal_text
 from .likelihood import LikelihoodIdeal, compute_lc, ml_degree
-from .models import DiscreteRandomVariable, ModelGraph, maximal_cliques, parse_model_json
+from .models import DiscreteRandomVariable, ModelGraph, parse_model_json
 from .ring import GREVLEX, LEX, PolyRing, map_to_ring, print_polynomial
-from .toric import make_loglinear_matrix, rational_normal_scroll, toric_ideal, toric_polytope
+from .toric import make_loglinear_matrix, rational_normal_scroll, toric_ideal, toric_model, toric_polytope
 
 __all__ = ["run", "main", "load_model", "emit_json"]
 
@@ -205,14 +205,11 @@ def _cmd_toric_polytope(args) -> str:
 
 def _cmd_loglinear_matrix(args) -> str:
     parsed = _gather_input(args, ("model",))
-    if isinstance(parsed, ModelGraph):
-        matrix = make_loglinear_matrix(maximal_cliques(parsed), parsed.vertices)
-    elif isinstance(parsed, tuple):
-        variables, generators = parsed
-        matrix = make_loglinear_matrix(generators, variables)
-    else:
+    if not isinstance(parsed, (ModelGraph, tuple)):
         raise InputError("loglinear-matrix wants a model JSON input")
-    return _format_result(matrix, args.format)
+    # a log-linear matrix has the ones vector in its row span, so
+    # toric_model keeps it as it is
+    return _format_result(toric_model(_as_model_input(parsed)).matrix, args.format)
 
 
 def _cmd_scroll(args) -> str:

@@ -281,7 +281,9 @@ class _Reducers:
 
     ``items`` holds (lt, lc, terms) per reducer, and ``sigs`` its
     signature key while the signature step that found it runs, else None
-    (see _divide).
+    (see _divide).  Every reducer's terms have passed through
+    _normalize_content, so its leading coefficient lc is positive, and
+    _divide's multiplier lc / gcd(lc, c) of a dividend is too.
     ``miss[i]`` is a bitset over list positions whose bit r is set when
     reducer r's leading term does not involve variable i.  A reducer
     divides a term only if its
@@ -502,8 +504,6 @@ def _divide(p, reducers: _Reducers, bound=None):
         g0 = gcd(lc, ltc)
         a = ltc // g0
         b = lc // g0
-        if a < 0:
-            a, b = -a, -b
         if a != 1:
             scale *= a
             if rem:
@@ -589,22 +589,17 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
 
     The rule exists because the signature loop was measured on every
     call.  On the Lagrange eliminations the pair loop's criteria keep
-    many pairs that reduce to zero (658 of 773 in the binary 3-chain's),
-    and the signature loop reduces none of them (135 reductions in all).
-    On the ML-degree fibers it does not pay: over one pass of the
-    ML-degree benchmark it made 1027 reductions against the pair loop's
-    578 and took three times as long.  On the saturations it pays on
-    the toric benchmark (its pass took about 0.7 of its pair-loop time)
-    and on the binary star (about a fifth), and loses on the binary
-    4-chain (about 1.2 times as long).  The 4-chain's toric relations,
-    86 generators in 32 variables, are no regular sequence, and taken
-    one at a time their intermediate ideals reach elements of degree 11
-    with 21 734 terms, where the final basis has 164 elements of at most
-    979 terms.  Sending inputs that outnumber the variables to the pair
-    loop fixed the 4-chain but lost on the benchmark and on the star,
-    which has 84 generators in 32 variables: the rule has no such
-    clause.  The test looks at the degree of the inputs that have a
-    constant term.
+    many pairs that reduce to zero, and the signature loop reduces none
+    of them.  On the ML-degree fibers it makes more reductions than the
+    pair loop and takes longer.  On the saturations it pays on the toric
+    benchmark and on the binary star, and loses on the binary 4-chain,
+    whose toric relations are no regular sequence: taken one at a time,
+    their intermediate ideals reach elements far larger than any in the
+    final basis.  Sending inputs that outnumber the variables to the
+    pair loop fixed the 4-chain but lost on the benchmark and on the
+    star, whose relations outnumber their variables as much: the rule
+    has no such clause.  The test looks at the degree of the inputs that
+    have a constant term.
 
     When the ideal's leading generators are known to be a Groebner basis
     already (``saturate`` marks them so), they are registered as
@@ -688,10 +683,7 @@ def _pair_loop(inputs, basis: _Reducers, pack: _Packing):
         l = pending.pop((i, j), None)
         if l is None:
             continue
-        s = _spair_terms(items[i][2], items[j][2], l, kl)
-        if not s:
-            continue
-        r = _reduce_full(s, basis)
+        r = _reduce_full(_spair_terms(items[i][2], items[j][2], l, kl), basis)
         if r:
             add_poly(r)
 
@@ -996,8 +988,8 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     t*f - 1, whose leading monomial holds t, after I's generators, so
     the signature loop builds a basis of I and then runs the one step.
     Computing I's reduced basis first, to try the two shortcuts above on
-    it, made a toric benchmark pass slower in 5 of 6 runs.  The result
-    is the same reduced basis in every case.
+    it, made the toric benchmark slower.  The result is the same reduced
+    basis in every case.
     """
     ring = ideal.ring
     if f.ring != ring:
@@ -1032,9 +1024,8 @@ def _colon_is_trivial(gb: GroebnerBasis, r) -> bool:
     I).  False when the step finds an element of I : f outside I.  The
     argument (see saturate) holds for any r and order, a constant term
     included: the fibers of a precomputed LikelihoodIdeal in ml_degree
-    make such remainders, and proving their p_i saturations trivial made
-    ml_degree on the corpus correspondences 1.2 to 1.9 times as fast as
-    eliminating t did.  The step appends to a fresh reducer index, so
+    make such remainders, and proving their p_i saturations trivial is
+    faster than eliminating t.  The step appends to a fresh index, so
     the basis's own index, which normal_form scans, stays as it is.
     """
     pack = _packing(gb.order, gb.ring.nvars)
@@ -1202,35 +1193,34 @@ def minors(k: int, m: PolyMatrix) -> Ideal:
 # dimension-zero bookkeeping
 
 
+def _pure_power_bounds(lts, n: int):
+    """Per variable i, the least e with x_i^e in lts, else 0; None if lts holds 1."""
+    bounds = [0] * n
+    for m in lts:
+        e = sum(m)
+        if not e:
+            return None
+        if e == max(m):  # a pure power of the one variable it involves
+            i = m.index(e)
+            bounds[i] = min(bounds[i] or e, e)
+    return bounds
+
+
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     """True iff the quotient by the ideal is a finite-dimensional vector space."""
-    lts = gb.leading_monomials()
-    if any(sum(m) == 0 for m in lts):
-        return True  # unit ideal: empty variety
-    n = gb.ring.nvars
-    for i in range(n):
-        if not any(m[i] > 0 and all(e == 0 for j, e in enumerate(m) if j != i) for m in lts):
-            return False
-    return True
+    bounds = _pure_power_bounds(gb.leading_monomials(), gb.ring.nvars)
+    return bounds is None or all(bounds)
 
 
 def quotient_dimension(gb: GroebnerBasis) -> int:
     """Number of standard monomials of a zero-dimensional ideal."""
-    if not is_zero_dimensional(gb):
-        raise ValueError("ideal is not zero-dimensional")
-    lts = list(gb.leading_monomials())
-    if any(sum(m) == 0 for m in lts):
-        return 0
+    lts = gb.leading_monomials()
     n = gb.ring.nvars
-    bounds = []
-    for i in range(n):
-        bounds.append(
-            min(
-                m[i]
-                for m in lts
-                if m[i] > 0 and all(e == 0 for j, e in enumerate(m) if j != i)
-            )
-        )
+    bounds = _pure_power_bounds(lts, n)
+    if bounds is None:
+        return 0
+    if not all(bounds):
+        raise ValueError("ideal is not zero-dimensional")
     if prod(bounds) > STANDARD_MONOMIAL_CAP:
         raise GuardrailError(
             f"standard monomial box {prod(bounds)} exceeds cap {STANDARD_MONOMIAL_CAP}"

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import NotBinomialIdealError
 from .exactmath import IntMatrix, hnf, integer_kernel
-from .groebner import Ideal, ideal_contains, saturate_by_product
+from .groebner import Ideal, saturate_by_product
 from .models import DiscreteRandomVariable, ModelGraph, maximal_cliques
 from .ring import GREVLEX, PolyRing, Polynomial
 
@@ -107,10 +107,17 @@ def toric_ideal(source, ring: PolyRing | None = None) -> Ideal:
     """The toric ideal of the model presented by ``source``.
 
     Computed as the lattice ideal of an integer kernel basis of A,
-    saturated at all coordinates.  When the saturation adds nothing,
-    the kernel binomials themselves are the generators.  Accepts
-    anything toric_model does, plus an optional ring with one variable
+    saturated at all coordinates, in grevlex on the ring's variables:
+    the order in which saturate starts from a known basis.  When the
+    saturation adds nothing, the kernel binomials themselves are the
+    generators; otherwise the saturation's reduced grevlex basis is.
+    Either is then put in ``ring``, an optional ring with one variable
     per column (default Q[p_0..p_n], grevlex).
+
+    The saturation's generators are the lattice ideal's reduced basis G
+    exactly when it adds nothing: a trivial step returns G as it stands,
+    and a nontrivial one gives a strictly larger ideal, whose reduced
+    basis is not G.  So comparing with G needs no membership test.
     """
     model = toric_model(source)
     a = model.matrix
@@ -121,12 +128,13 @@ def toric_ideal(source, ring: PolyRing | None = None) -> Ideal:
     kernel = integer_kernel(a)
     if kernel.nrows == 0:
         return Ideal(ring, ())
-    lattice = Ideal(ring, [_binomial_from_kernel_row(ring, r) for r in kernel.entries])
-    lattice.groebner()  # the containment check needs it; the saturation starts from it
-    sat = saturate_by_product(lattice, ring.gens())
-    if all(ideal_contains(lattice, g) for g in sat.generators):
-        sat = lattice
-    return Ideal(ring, [g.primitive_part() for g in sat.generators])
+    work = PolyRing(ring.variables, GREVLEX)
+    lattice = Ideal(work, [_binomial_from_kernel_row(work, r) for r in kernel.entries])
+    gb = lattice.groebner()  # the saturation starts from it
+    sat = saturate_by_product(lattice, work.gens())
+    gens = lattice.generators if sat.generators == gb.basis else sat.generators
+    # the same variables in the same places, so only the order changes
+    return Ideal(ring, [ring.poly(g.terms).primitive_part() for g in gens])
 
 
 def toric_polytope(ideal: Ideal) -> IntMatrix:

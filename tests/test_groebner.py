@@ -1423,6 +1423,35 @@ def test_quotient_dimension_counts_points_with_multiplicity():
     assert quotient_dimension(gb) == 3
 
 
+def test_zero_dimension_readers_on_random_monomial_ideals():
+    rng = random.Random(23)
+    finite = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        r = _ring([f"x{i}" for i in range(n)])
+        monomials = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 4))]
+        for i in rng.sample(range(n), rng.randint(0, n)):
+            monomials.append(tuple(rng.randint(1, 4) if j == i else 0 for j in range(n)))
+        gb = Ideal(r, [r.poly([(m, 1)]) for m in monomials if any(m)]).groebner()
+        zero_dim = is_zero_dimensional(gb)
+        assert zero_dim == (krull_dimension(gb) <= 0), monomials
+        if not zero_dim:
+            with pytest.raises(ValueError):
+                quotient_dimension(gb)
+            continue
+        finite += 1
+        # the standard monomials of a monomial ideal are the monomials no
+        # generator divides, and each lies below every pure power
+        box = [min(m[i] for m in monomials if m[i] and not any(m[:i] + m[i + 1:]))
+               for i in range(n)]
+        standard = sum(
+            1 for e in itertools.product(*map(range, box))
+            if not any(all(a <= b for a, b in zip(m, e)) for m in monomials if any(m))
+        )
+        assert quotient_dimension(gb) == standard, monomials
+    assert 10 < finite < 60
+
+
 # ------------------------------------------------------------ ideal files
 
 

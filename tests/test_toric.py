@@ -6,10 +6,12 @@ import pytest
 
 from algstat import (
     GREVLEX,
+    LEX,
     DiscreteRandomVariable,
     Ideal,
     IntMatrix,
     ModelGraph,
+    MonomialOrder,
     NotBinomialIdealError,
     PolyRing,
     ToricModel,
@@ -183,6 +185,59 @@ def test_toric_ideal_random_matrices():
             for row in a.entries:
                 assert sum(r * e for r, e in zip(row, ma)) == \
                     sum(r * e for r, e in zip(row, mb))
+
+
+def _toric_output_rule(matrix, ring):
+    """toric_ideal's output, written out: the kernel binomials when their
+    ideal is already saturated at the coordinates, else the saturation's
+    reduced grevlex basis, either one put in ring and made primitive.
+    Also returns whether the kernel binomials were kept."""
+    work = PolyRing(ring.variables, GREVLEX)
+    binomials = [
+        work.poly([(tuple(max(e, 0) for e in row), 1), (tuple(max(-e, 0) for e in row), -1)])
+        for row in integer_kernel(toric_model(matrix).matrix).entries
+    ]
+    sat = saturate_by_product(Ideal(work, binomials), work.gens())
+    kept = ideal_equal(Ideal(work, binomials), sat)
+    gens = binomials if kept else sat.groebner().basis
+    return [map_to_ring(g, ring).primitive_part() for g in gens], kept
+
+
+ORDERS = [LEX, GREVLEX, MonomialOrder.block(1)]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.name)
+def test_toric_ideal_output_rule_under_every_order(order):
+    # 0/1 matrices: their lattice ideals are often saturated but not
+    # reduced in the ring's order, which separates the two halves
+    rng = random.Random(71)
+    kept = 0
+    for _ in range(40):
+        nr = rng.randint(2, 3)
+        nc = rng.randint(5, 8)
+        matrix = IntMatrix([[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)])
+        ring = PolyRing([f"p_{i}" for i in range(toric_model(matrix).ncols)], order)
+        expect, saturated = _toric_output_rule(matrix, ring)
+        i = toric_ideal(matrix, ring=ring)
+        assert i.ring == ring
+        assert list(i.generators) == expect, matrix
+        kept += saturated
+    assert 0 < kept < 40  # both halves of the rule ran
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.name)
+def test_toric_ideal_keeps_kernel_binomials_only_when_saturated(order, rnc3_matrix,
+                                                                chain3_matrix):
+    # the twisted cubic's two kernel binomials miss a quadric
+    ring = PolyRing([f"p_{i}" for i in range(4)], order)
+    expect, kept = _toric_output_rule(rnc3_matrix, ring)
+    assert not kept and len(expect) == 3
+    assert list(toric_ideal(rnc3_matrix, ring=ring).generators) == expect
+    # the binary 3-chain's kernel binomials generate its toric ideal
+    ring = PolyRing([f"p_{i}" for i in range(8)], order)
+    expect, kept = _toric_output_rule(chain3_matrix, ring)
+    assert kept and len(expect) == integer_kernel(chain3_matrix).nrows
+    assert list(toric_ideal(chain3_matrix, ring=ring).generators) == expect
 
 
 # ---------------------------------------------------------- toric_polytope
