@@ -17,14 +17,16 @@ ideal lives in Q[p, u] and is computed here two ways:
   elimination of the multipliers.
 
 The ML degree is the number of critical points for generic data.
-``ml_degree`` puts seeded random integer data u* into the same
-relations before any Groebner work, so it never builds a
-correspondence: it counts the fiber over u* in Q[p] on the chart
-sum p = 1 and takes the modal count across trials.  The toric and the
-Lagrange fibers need no saturation, as u* >= 1 already keeps every
-point off the coordinate hyperplanes (see ``ml_degree``); only a
-precomputed ``LikelihoodIdeal`` has its own generators substituted and
-the result saturated at the coordinates.
+``ml_degree`` puts seeded random integer data u* into the construction
+before any Groebner work, so it never builds a correspondence: it
+counts the fiber over u* in Q[p] on the chart sum p = 1 and takes the
+modal count across trials.  The toric fiber is I_A plus the linear
+equations A p = A u* / sum u*, built from integers; the Lagrange fiber
+has its multiplier of sum p fixed at sum u*, by Euler's relation.
+Neither needs a saturation, as u* >= 1 already keeps every point off
+the coordinate hyperplanes (see ``ml_degree``); only a precomputed
+``LikelihoodIdeal`` has its own generators substituted and the result
+saturated at the coordinates.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .groebner import (
     PolyMatrix,
     _eliminate_auxiliary,
     intersect,
-    is_zero_dimensional,
     krull_dimension,
     minors,
     mul_int_poly,
@@ -99,17 +100,32 @@ def lc_ring(n: int) -> PolyRing:
 def _toric_relations(a: IntMatrix, ix: Ideal, ring: PolyRing, u) -> list:
     """I_A plus the 2x2 minors of A * [p u] (none if A has one row).
 
-    ``ring`` starts with p_0..p_n.  ``u`` is the data column: ring
-    variables for the correspondence, or integers for the fiber over
-    one data vector, where the minors are linear in p.
+    ``ring`` starts with p_0..p_n and holds the data variables ``u``.
     """
     p = ring.gens()[: a.ncols]
-    u = [x if isinstance(x, Polynomial) else ring.constant(x) for x in u]
     gens = [map_to_ring(g, ring) for g in ix.generators]
     if a.nrows > 1:
         m = PolyMatrix([[p[i], u[i]] for i in range(a.ncols)], ring)
         gens.extend(minors(2, mul_int_poly(a, m)).generators)
     return gens
+
+
+def _affine_relations(a: IntMatrix, ring: PolyRing, data) -> list:
+    """s * (a . p) - a . u* for each row a of A, with s = sum u*: A p = A u* / s.
+
+    ``ring`` is Q[p_0..p_n].  Each form is built from integers in one
+    ``ring.poly`` call.
+    """
+    s = sum(data)
+    n1 = a.ncols
+    zero = (0,) * n1
+    unit = [zero[:j] + (1,) + zero[j + 1 :] for j in range(n1)]
+    out = []
+    for row in a.entries:
+        terms = [(unit[j], s * x) for j, x in enumerate(row) if x]
+        terms.append((zero, -sum(x * d for x, d in zip(row, data))))
+        out.append(ring.poly(terms))
+    return out
 
 
 def compute_lc_toric(model, saturation: str = "hyperplane") -> LikelihoodIdeal:
@@ -178,26 +194,40 @@ def _check_model_ideal(ideal: Ideal) -> None:
         raise ValueError("the unit ideal has no likelihood correspondence")
 
 
-def _lagrange_relations(ideal: Ideal, base: Ideal, lam, p, u) -> list:
-    """base plus u_i - p_i * sum_j lam_j df_j/dp_i, with f_0 = sum p.
+def _lagrange_relations(ideal: Ideal, ring: PolyRing, lam0, lam, u) -> list:
+    """u_i - p_i * (lam0 + sum_j lam_j df_j/dp_i), one per model variable p_i.
 
-    ``lam`` (one multiplier per f_j) and ``p`` (the model's variables)
-    are generators of one ring.  ``base`` is an ideal in Q[p] with the
-    zeros of the model ideal: its saturation for the correspondence,
-    the model ideal itself for a fiber.  ``u`` is the data: variables
-    of that ring for the correspondence, or integers for the fiber over
-    one data vector.
+    These are the Lagrange equations with f_0 = sum p, whose multiplier
+    is lam0, and f_1..f_r the generators of ``ideal``, whose multipliers
+    ``lam`` are variables of ``ring``.  ``ring`` holds the model's
+    variables by name.  ``lam0`` and the data ``u`` are each a variable
+    of ``ring`` or an integer: variables for the correspondence, sum u*
+    and u* for the fiber over u* (see ``ml_degree``).
+
+    Each relation is built from the generators' terms in one
+    ``ring.poly`` call: for a term c*m of f_j, p_i * d(c*m)/dp_i is
+    (c*m_i)*m, and the factor lam_j shifts its exponents.
     """
-    ring = p[0].ring
-    fs = [sum(p[1:], p[0])] + [map_to_ring(g, ring) for g in ideal.generators]
-    out = [map_to_ring(g, ring) for g in base.generators]
-    for name, p_i, u_i in zip(ideal.ring.variables, p, u):
-        grad = ring.zero()
-        for lam_j, f in zip(lam, fs):
-            df = f.differentiate(name)
-            if df.terms:
-                grad = grad + lam_j * df
-        out.append(u_i - p_i * grad)
+    zero = (0,) * ring.nvars
+    pos = [ring.var_index(name) for name in ideal.ring.variables]
+
+    def terms(x):
+        return x.terms if isinstance(x, Polynomial) else ((zero, x),)
+
+    scaled = []  # (exponents in ring with lam_j's, c, the term's own exponents)
+    for lam_j, f in zip(lam, ideal.generators):
+        shift = lam_j.leading_monomial()
+        for m, c in f.terms:
+            e = list(shift)
+            for k, x in zip(pos, m):
+                e[k] += x
+            scaled.append((tuple(e), c, m))
+    out = []
+    for i, (k, u_i) in enumerate(zip(pos, u)):
+        rel = list(terms(u_i))
+        rel.extend((m0[:k] + (m0[k] + 1,) + m0[k + 1 :], -c0) for m0, c0 in terms(lam0))
+        rel.extend((e, -c * m[i]) for e, c, m in scaled if m[i])
+        out.append(ring.poly(rel))
     return out
 
 
@@ -255,7 +285,9 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
     ring = PolyRing(p_ring.variables + u_names, GREVLEX)
 
     def build(lam, pu):
-        return _lagrange_relations(ideal, sat_p, lam, pu[:n1], pu[n1:])
+        ext = lam[0].ring
+        base = [map_to_ring(g, ext) for g in sat_p.generators]
+        return base + _lagrange_relations(ideal, ext, lam[0], lam[1:], pu[n1:])
 
     # the elimination is the reduced basis in Q[p, u] under grevlex
     elim = _eliminate_auxiliary(ring, len(ideal.generators) + 1, build)
@@ -288,8 +320,8 @@ def _fibers(model_input):
     sum p = 1, off the coordinate hyperplanes; each route builds the
     ideal that its exactness argument in ``ml_degree`` needs.  Whatever
     every trial shares (the toric ideal, the model checks) is done
-    here, once.  The Lagrange route's multipliers get fresh names, so
-    the model may use any variable names, u_0..u_n included.
+    here, once.  The Lagrange route's multipliers lam_1..lam_r get fresh
+    names, so the model may use any variable names, u_0..u_n included.
     """
     if isinstance(model_input, LikelihoodIdeal):
         lc = model_input
@@ -310,24 +342,33 @@ def _fibers(model_input):
         if n1 < 2:
             raise ValueError("need at least two states")
         ix = toric_ideal(model)
-        chart = ix.ring.sum_of_gens() - 1
 
         def fiber(data):
-            return Ideal(ix.ring, _toric_relations(a, ix, ix.ring, data) + [chart])
+            return Ideal(ix.ring, ix.generators + tuple(_affine_relations(a, ix.ring, data)))
 
     elif isinstance(model_input, Ideal):
         _check_model_ideal(model_input)
         n1 = model_input.ring.nvars
         p_ring = PolyRing(model_input.ring.variables, GREVLEX)
+        r = len(model_input.generators)
 
         def fiber(data):
-            # the chart goes in before the multipliers are eliminated, so
-            # the fiber in p is finite; lam need not be unique over it
-            def build(lam, p):
-                relations = _lagrange_relations(model_input, model_input, lam, p, data)
-                return relations + [sum(p[1:], p[0]) - 1]
+            # lam_0 = sum u* (see ml_degree); with no other multiplier the
+            # relations u*_i = sum u* * p_i are the fiber
+            if not r:
+                return Ideal(p_ring, _lagrange_relations(model_input, p_ring, sum(data), (), data))
 
-            return _eliminate_auxiliary(p_ring, len(model_input.generators) + 1, build)
+            # the relations already hold the chart (their sum is
+            # sum u* * (1 - sum p) modulo the model ideal); as an input it
+            # is the affine chart that sends the elimination to the pair
+            # loop, which is far faster here (see buchberger)
+            def build(lam, p):
+                ext = lam[0].ring
+                chart = ext.poly([(x.leading_monomial(), 1) for x in p] + [((0,) * ext.nvars, -1)])
+                gens = [map_to_ring(g, ext) for g in model_input.generators]
+                return gens + _lagrange_relations(model_input, ext, sum(data), lam, data) + [chart]
+
+            return _eliminate_auxiliary(p_ring, r, build)
 
     else:
         raise TypeError(f"cannot compute an ML degree from {type(model_input).__name__}")
@@ -336,10 +377,12 @@ def _fibers(model_input):
 
 def _fiber_count(fiber: Ideal, data) -> int:
     """The length of a fiber ideal, which must be zero-dimensional."""
-    gb = fiber.groebner()
-    if not is_zero_dimensional(gb):
-        raise DegenerateFiberError(f"fiber over data {tuple(data)} is not zero-dimensional")
-    return quotient_dimension(gb)
+    try:
+        return quotient_dimension(fiber.groebner())
+    except ValueError:
+        raise DegenerateFiberError(
+            f"fiber over data {tuple(data)} is not zero-dimensional"
+        ) from None
 
 
 def ml_degree(model_input, trials: int = 3, seed: int = 0, u_range=(1, 1000)) -> int:
@@ -351,28 +394,38 @@ def ml_degree(model_input, trials: int = 3, seed: int = 0, u_range=(1, 1000)) ->
     No correspondence is built.  Every route cuts its fiber to the chart
     sum p = 1, and each is exact:
 
-    * toric input: I_A plus the 2x2 minors of A * [p | u*], which are
-      linear in p, plus the chart, unsaturated.  The correspondence is
-      J : (sum p)^inf for J = I_A + the minors of A * [p | u]; the two
-      generate one ideal once (sum p)(prod p) is inverted, and
-      substituting u* is a ring map, so their fibers agree off the
-      coordinate hyperplanes.  The fiber has no point on them.  At a
-      point p of X_A on the chart, the support of p is the column set
-      of a face F of conv(A), and the minors make A u* proportional to
-      A p, which is nonzero (A has a ones row) and lies in the span of
-      F.  As u* >= 1, A u* is a positive combination of every column,
-      so it misses each proper face's supporting hyperplane: F is all
-      of conv(A) and every p_i is nonzero.  So every p_i is a unit
-      modulo the fiber, and saturating there would change nothing.
-    * ideal input: the Lagrange relations u*_i = p_i * grad_i over the
-      model ideal itself, plus the chart, with the multipliers
-      eliminated.  With u*_i >= 1 every p_i divides a nonzero constant,
-      so it is a unit, and the chart makes sum p one; modulo the
-      relations the model ideal and its saturation at (sum p)(prod p)
-      agree, and so do their eliminations, whose p_i stay units (a
-      g * p_i^k in the elimination puts g in it).  The ideal cuts out
-      the critical points for u*, as the correspondence's fiber does
-      for generic u*.
+    * toric input: I_A plus e_i = s * (a_i . p) - c_i for each row a_i
+      of A, where s = sum u* and c = A u*: the equations A p = A u* / s.
+      They generate I_A plus the 2x2 minors of A * [p | u*] plus the
+      chart.  With w rational and w A = 1 (A's row span holds the ones
+      vector), and s != 0 as u* >= 1:
+        s * minor_ij = e_i c_j - e_j c_i,  s * (sum p - 1) = sum_i w_i e_i;
+        e_i = sum_j w_j minor_ij + c_i * (sum p - 1).
+      The correspondence is J : (sum p)^inf for J = I_A + the minors of
+      A * [p | u]; the two generate one ideal once (sum p)(prod p) is
+      inverted, and substituting u* is a ring map, so their fibers agree
+      off the coordinate hyperplanes.  The fiber has no point on them.
+      At a point p of the fiber, the support of p is the column set of
+      a face F of conv(A), and A p = A u* / s lies in the span of F.  As
+      u* >= 1, A u* is a positive combination of every column, so it
+      misses each proper face's supporting hyperplane: F is all of
+      conv(A) and every p_i is nonzero.  So every p_i is a unit modulo
+      the fiber, and saturating there would change nothing.
+    * ideal input: the Lagrange relations
+      u*_i = p_i * (lam_0 + sum_j lam_j df_j/dp_i) over the model ideal
+      itself, plus the chart, with lam_0 = sum u* and lam_1..lam_r
+      eliminated.  Fixing lam_0 loses nothing: with lam_0 a variable,
+      the relations sum, by Euler's relation for the homogeneous f_j, to
+        sum u* - lam_0 * sum p - sum_j lam_j deg(f_j) f_j
+          = sum u* - lam_0  modulo the model ideal and the chart,
+      so lam_0 - sum u* lies in their ideal, and substituting it gives
+      the same elimination.  With u*_i >= 1 every p_i divides a nonzero
+      constant, so it is a unit, and the chart makes sum p one; modulo
+      the relations the model ideal and its saturation at
+      (sum p)(prod p) agree, and so do their eliminations, whose p_i
+      stay units (a g * p_i^k in the elimination puts g in it).  The
+      ideal cuts out the critical points for u*, as the
+      correspondence's fiber does for generic u*.
     * a precomputed ``LikelihoodIdeal``: u* is substituted into its
       generators, and the result saturated at the coordinates.  It is
       a closure, so its fiber can hold points on the coordinate

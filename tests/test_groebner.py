@@ -819,10 +819,11 @@ def test_the_loop_rule_chooses_the_loop(monkeypatch, hw_ideal):
     # elimination (2 multipliers, 3 + 3 variables), a saturation (t*f - 1)
     # and a homogeneous ideal with more generators than variables take the
     # second, an ML-degree fiber (the chart sum p - 1 and integer data,
-    # 2 + 3 variables) the first.  A saturation of an ideal whose basis is
-    # cached, by a nonzerodivisor, is proved trivial by one signature step
-    # and runs neither loop; without a cached basis it is one
-    # signature-loop call on I's generators and t*f - 1.
+    # 1 multiplier + 3 variables, as lam_0 is fixed) the first.  A
+    # saturation of an ideal whose basis is cached, by a nonzerodivisor,
+    # is proved trivial by one signature step and runs neither loop;
+    # without a cached basis it is one signature-loop call on I's
+    # generators and t*f - 1.
     calls = []
     for name in ("_pair_loop", "_signature_loop"):
         loop = getattr(algstat.groebner, name)
@@ -850,7 +851,7 @@ def test_the_loop_rule_chooses_the_loop(monkeypatch, hw_ideal):
     assert calls == [("_signature_loop", 4, 3)]
     calls.clear()
     ml_degree(hw_ideal, trials=1)
-    assert {name for name, n, _ in calls if n == 5} == {"_pair_loop"}
+    assert {name for name, n, _ in calls if n == 4} == {"_pair_loop"}
     calls.clear()
     quadrics = _ideal(r, "x^2", "x*y", "x*z", "y^2", "y*z", "z^2 - x*y")
     assert len(quadrics.groebner()) == 6

@@ -12,19 +12,26 @@ from algstat import (
     IntMatrix,
     LikelihoodIdeal,
     ModelGraph,
+    MonomialOrder,
+    PolyMatrix,
     PolyRing,
     SplitMix64,
     compute_lc,
     format_ideal,
     ideal_equal,
     intersect,
+    map_to_ring,
+    minors,
     ml_degree,
+    mul_int_poly,
     rational_normal_scroll,
     run,
     saturate_by_product,
     toric_ideal,
+    toric_model,
 )
-from algstat.likelihood import _fibers
+from algstat.groebner import _eliminate_auxiliary
+from algstat.likelihood import _fibers, _lagrange_relations
 
 SEEDS = (0, 3, 11)
 
@@ -164,6 +171,126 @@ def test_precomputed_fiber_is_saturated(rnc2_matrix):
     padded = LikelihoodIdeal(lc.ring, extra.generators, "toric")
     for seed in SEEDS:
         assert ml_degree(padded, seed=seed) == 2, seed
+
+
+# ------------------------------------- fibers against their old constructions
+
+
+def _independence(r, c):
+    return ModelGraph([DiscreteRandomVariable(r, name="a"), DiscreteRandomVariable(c, name="b")])
+
+
+def _toric_fiber_by_minors(model, data):
+    """I_A plus the 2x2 minors of A * [p | u*] plus the chart sum p - 1."""
+    a = toric_model(model).matrix
+    ix = toric_ideal(model)
+    ring = ix.ring
+    p = ring.gens()
+    gens = list(ix.generators) + [ring.sum_of_gens() - 1]
+    if a.nrows > 1:
+        m = PolyMatrix([[p[j], ring.constant(data[j])] for j in range(a.ncols)], ring)
+        gens += minors(2, mul_int_poly(a, m)).generators
+    return Ideal(ring, gens)
+
+
+def _assert_toric_fiber_by_minors(model):
+    n1, fiber = _fibers(model)
+    for seed in SEEDS:
+        data = _seeded_data(seed, n1)
+        new = fiber(data)
+        assert new.groebner().basis == _toric_fiber_by_minors(model, data).groebner().basis, seed
+
+
+def test_toric_fiber_is_the_fiber_of_the_minors(corpus):
+    # s * (a . p) - a . u* for each row a of A, s = sum u*, generate the
+    # minors and the chart, and the minors and the chart generate them
+    models = [a for _, a in corpus]
+    models += [rational_normal_scroll((2, 2, 3)), _independence(2, 3), _independence(3, 3)]
+    for model in models:
+        _assert_toric_fiber_by_minors(model)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_matrices_with_ones_row())
+def test_random_toric_fiber_is_the_fiber_of_the_minors(a):
+    _assert_toric_fiber_by_minors(a)
+
+
+def _gradient_relations(model, ring, lam, u):
+    """u_i - p_i * sum_j lam_j df_j/dp_i with f_0 = sum p, by Polynomial arithmetic."""
+    p = [ring.gen(name) for name in model.ring.variables]
+    fs = [sum(p[1:], p[0])] + [map_to_ring(g, ring) for g in model.generators]
+    out = []
+    for name, p_i, u_i in zip(model.ring.variables, p, u):
+        grad = ring.zero()
+        for lam_j, f in zip(lam, fs):
+            grad = grad + lam_j * f.differentiate(name)
+        out.append(u_i - p_i * grad)
+    return out
+
+
+def _lagrange_fiber_with_lambda_0(model, data):
+    """The fiber with r + 1 multipliers, lam_0 among them, eliminated."""
+    p_ring = PolyRing(model.ring.variables, GREVLEX)
+
+    def build(lam, p):
+        ring = p[0].ring
+        gens = [map_to_ring(g, ring) for g in model.generators]
+        return gens + _gradient_relations(model, ring, lam, data) + [sum(p[1:], p[0]) - 1]
+
+    return _eliminate_auxiliary(p_ring, len(model.generators) + 1, build)
+
+
+def _lagrange_models(corpus):
+    """The corpus toric ideals in both generator orders, and hypersurfaces."""
+    out = []
+    for _, a in corpus:
+        ix = toric_ideal(a)
+        out += [Ideal(ix.ring, ix.generators), Ideal(ix.ring, ix.generators[::-1])]
+    for build in (
+        lambda p0, p1, p2: 4 * p0 * p2 - p1 ** 2,
+        lambda p0, p1, p2: 9 * p0 * p2 - 7 * p1 ** 2,
+        lambda p0, p1, p2: (p1 - p2) ** 2 * p2 - (p0 - p2) ** 2 * (p0 + p2),
+        lambda p0, p1, p2: (p1 - p2) ** 3 - (p0 - p2) ** 2 * p2,
+        lambda p0, p1, p2: (p0 - p1) ** 2,
+        lambda p0, p1, p2: p0,
+    ):
+        out.append(_hypersurface(2, build))
+    out.append(Ideal(_ring(2), []))
+    return out
+
+
+def test_lagrange_fiber_fixes_lambda_0(corpus):
+    # summing the relations gives sum u* - lam_0 modulo the model ideal
+    # and the chart (Euler's relation), so lam_0 = sum u* loses nothing
+    for model in _lagrange_models(corpus):
+        n1, fiber = _fibers(model)
+        for seed in SEEDS:
+            data = _seeded_data(seed, n1)
+            expected = _lagrange_fiber_with_lambda_0(model, data).groebner().basis
+            assert fiber(data).groebner().basis == expected, (model, seed)
+
+
+def test_lagrange_relations_match_the_gradient_formula(corpus):
+    # the correspondence's relations, with lam_0 and u as variables, and a
+    # fiber's, with lam_0 = sum u* and u = u* as integers
+    for model in _lagrange_models(corpus):
+        r = len(model.generators)
+        names = model.ring.variables
+        ring = PolyRing(
+            tuple(f"t_{j}" for j in range(r + 1)) + names + tuple(f"u_{i}" for i in range(len(names))),
+            MonomialOrder.block(r + 1),
+        )
+        gens = ring.gens()
+        lam, u = gens[: r + 1], gens[r + 1 + len(names) :]
+        assert _lagrange_relations(model, ring, lam[0], lam[1:], u) == _gradient_relations(
+            model, ring, lam, u
+        ), model
+        data = _seeded_data(5, len(names))
+        s = ring.constant(sum(data))
+        assert _lagrange_relations(model, ring, sum(data), lam[1:], data) == _gradient_relations(
+            model, ring, (s,) + lam[1:], data
+        ), model
 
 
 # ---------------------------------------------------------------- oracles
