@@ -34,7 +34,10 @@ enter the kernel and unpacked where bases and remainders leave it.  The
 pair criteria read the same packed leading monomials: an lcm is a
 per-field max in a few word operations, two leading monomials are
 coprime exactly when their lcm equals their product, and a queued lcm
-is unpacked once, for its place in the pair queue.
+is unpacked once, for its place in the pair queue.  A signature step
+tests a pair's packed signature against the F5 and zero-signature
+criteria before it unpacks anything, so the pairs those drop, most of
+them, cost an lcm and a few divisibility tests.
 
 Each leading term is reduced by the first reducer in list order whose
 leading term divides it.  The reducers sit in one index (_Reducers) that
@@ -722,14 +725,28 @@ def _signature_step(f, basis: _Reducers, pack: _Packing, stop=False) -> bool:
 
     J-pairs go by increasing signature T, and at most one pair with a
     given T is reduced: the one whose multiple has the smallest leading
-    monomial.  A pair is skipped when T is divisible by a known syzygy
-    signature: a leading monomial of B (the F5 criterion, read from
-    basis below the step's first position) or the signature of a
-    reduction to zero.  It is also skipped when it is covered: some
-    step element g has sig(g) | T and (T / sig(g)) lm(g) < the multiple's
-    leading monomial.  A reduced pair whose leading term a step element
-    divides at signature exactly T is dropped as redundant.  When no pair
-    is left, B and the step's elements are a Groebner basis of B + (f).
+    monomial.  A pair is the multiple of the side whose sig - lm key
+    difference is larger, since a multiple keeps its side's difference;
+    equal differences make no regular pair.  A pair is dropped when T is
+    divisible by a known syzygy signature: a leading monomial of B (the
+    F5 criterion, read from basis below the step's first position) or
+    the signature of a reduction to zero.  Both tests run when the pair
+    is made, before its lcm is keyed and before it is queued; a pair
+    with an element b of B tries lm(b) first, which divides T exactly
+    when gcd(lm b, lm g) divides sig(g).  When a pair is popped, the zero
+    test runs again, for the zeros found since it was made, and the pair
+    is skipped when it is covered: some step element g has sig(g) | T
+    and (T / sig(g)) lm(g) < the multiple's leading monomial.  A reduced
+    pair whose leading term a step element divides at signature exactly
+    T is dropped as redundant.  When no pair is left, B and the step's
+    elements are a Groebner basis of B + (f).
+
+    Testing when a pair is made reduces the same pairs, in the same
+    order, as testing only when it is popped.  The F5 verdict depends on
+    T and on B's leading monomials alone, which the step does not
+    change, so all the pairs at one T share it, and the one kept per T
+    is the same.  Zero signatures only accumulate, so a pair dropped
+    when made would have been dropped when popped.
 
     A syzygy signature is the leading monomial of some u with u*f in the
     ideal of B, that is of an element of B : f.  The principal syzygy
@@ -751,7 +768,8 @@ def _signature_step(f, basis: _Reducers, pack: _Packing, stop=False) -> bool:
 
     def add(terms, se, sk):
         new = len(items)
-        lk, lm = terms[0][0], terms[0][1]
+        lm = terms[0][1]
+        ratio = sk - terms[0][0]  # sig / lm, as a key difference
         basis.append(terms, sk)
         sexps[new] = se
         for q in range(new):
@@ -759,28 +777,37 @@ def _signature_step(f, basis: _Reducers, pack: _Packing, stop=False) -> bool:
             l = pack.lcm(lq, lm)
             if l == lq + lm:
                 continue  # coprime: T is a principal syzygy's, or B's, so F5 holds it
-            kl = pack.key(pack.unpack(l))
-            # the J-pair is the multiple of the side with the larger signature
-            tk, rec = kl - lk + sk, (kl, l - lm + se, new, l - lm, kl - lk)
+            # the J-pair is the multiple of the side with the larger signature:
+            # a multiple's sig key - lm key is its side's, so compare those
+            i = new
             if q >= nb:
-                tq = kl - qterms[0][0] + sigs[q]
-                if tq == tk:
+                rq = sigs[q] - qterms[0][0]
+                if rq == ratio:
                     continue  # not a regular pair
-                if tq > tk:
-                    tk, rec = tq, (kl, l - lq + sexps[q], q, l - lq, kl - qterms[0][0])
+                if rq > ratio:
+                    i = q
+            shift = l - items[i][0]
+            t = shift + sexps[i]
+            if q < nb and not (t - lq) & guard or basis.divides(t, nb):
+                continue  # F5 criterion: lm(q) itself, else any lm of B
+            if any(not (t - z) & guard for z in zeros):
+                continue  # the signature of a reduction to zero divides T
+            kl = pack.key(pack.unpack(l))
+            kshift = kl - items[i][2][0][0]
+            tk = kshift + sigs[i]
             old = pending.get(tk)
             if old is not None and old[0] <= kl:
                 continue
             if old is None:
                 heappush(heap, tk)
-            pending[tk] = rec
+            pending[tk] = (kl, t, i, shift, kshift)
 
     add(f, 0, 0)
     while heap:
         tk = heappop(heap)
         top, t, i, shift, kshift = pending.pop(tk)
-        if basis.divides(t, nb) or any(not (t - z) & guard for z in zeros):
-            continue
+        if any(not (t - z) & guard for z in zeros):
+            continue  # a syzygy signature found since the pair was made
         if any(
             not (t - se) & guard and tk - sigs[g] + items[g][2][0][0] < top
             for g, se in sexps.items()

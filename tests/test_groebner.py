@@ -1,6 +1,7 @@
 """Tests for Groebner bases, ideal operations, and the ideal file format."""
 
 import gc
+import heapq
 import itertools
 import random
 from contextlib import contextmanager
@@ -44,6 +45,7 @@ from algstat import (
     s_polynomial,
     saturate,
     saturate_by_product,
+    toric_ideal,
 )
 import algstat.groebner
 from algstat.groebner import (
@@ -341,6 +343,40 @@ def test_reducer_index_divides_only_below_a_position():
     assert index.divides(y3, 1) and not index.divides(xy, 0)
 
 
+def test_reducer_index_divides_agrees_with_a_scan_below_each_position():
+    # divides(m, below) makes every F5 decision of a signature step: it
+    # must answer as a scan of the leading terms below ``below`` does,
+    # from a fresh memo after each append and from the memo it filled
+    rng = random.Random(163)
+    seen = {"divisible": 0, "not divisible": 0, "memo hit": 0}
+    for order in (LEX, GREVLEX, MonomialOrder.block(1)):
+        for _ in range(6):
+            n = rng.randint(2, 6)
+            pack = _packing(order, n)
+
+            def monomial(top):
+                return tuple(rng.randint(1, top) if rng.random() < 0.5 else 0 for _ in range(n))
+
+            index = _Reducers(pack)
+            heads = []
+            for _ in range(rng.randint(5, 15)):
+                h = monomial(2)
+                if not any(h):
+                    continue
+                index.append([(pack.key(h), pack.exps(h), 1)])
+                heads.append(h)
+                assert not index.memo
+                for _ in range(20):
+                    m = monomial(4)
+                    below = rng.randint(0, len(heads))
+                    packed = pack.exps(m)
+                    seen["memo hit"] += ((packed + pack.ones) & pack.guard) in index.memo
+                    expected = any(all(map(le, h, m)) for h in heads[:below])
+                    assert index.divides(packed, below) == expected, (order.name, heads, m, below)
+                    seen["divisible" if expected else "not divisible"] += 1
+    assert min(seen.values()) >= 300, seen
+
+
 def _sparse_poly(ring, rng, nterms, maxdeg):
     """A polynomial whose monomials each involve one to three variables."""
     terms = []
@@ -575,12 +611,7 @@ def _loop_bases(ideal):
     started from and its regular reductions as (signature key, reduced
     to zero), and the number of the pair loop's reductions to zero.
     """
-    ring = ideal.ring
-    pack = _packing(ring.order, ring.nvars)
-    known = ideal._known
-    inputs = [_primitive_terms(g, pack) for g in ideal.generators[known:]]
-    inputs.sort(key=lambda t: (t[0][0], t))
-    pair = _divisors(ideal.generators[:known], pack)
+    pack, inputs, pair = _loop_inputs(ideal)
     original_reduce = algstat.groebner._reduce_full
     remainders = []
 
@@ -593,12 +624,37 @@ def _loop_bases(ideal):
         _pair_loop(inputs, pair, pack)
     finally:
         algstat.groebner._reduce_full = original_reduce
+    sig, steps = _signature_run(ideal)
+
+    def reduced(index):
+        return [t for _, _, t in _interreduce([t for _, _, t in index.items], pack).items]
+
+    return reduced(pair), reduced(sig), steps, remainders.count([])
+
+
+def _loop_inputs(ideal):
+    """The packing, inputs and known-prefix index that buchberger prepares."""
+    ring = ideal.ring
+    pack = _packing(ring.order, ring.nvars)
+    known = ideal._known
+    inputs = [_primitive_terms(g, pack) for g in ideal.generators[known:]]
+    inputs.sort(key=lambda t: (t[0][0], t))
+    return pack, inputs, _divisors(ideal.generators[:known], pack)
+
+
+@contextmanager
+def _recorded_steps(step=None):
+    """Record every signature step run inside, with ``step``, if given, in
+    place of _signature_step: the packed leading monomials of the basis
+    it started from, and its regular reductions as (signature key,
+    reduced to zero)."""
     steps = []
     original_step, original_divide = algstat.groebner._signature_step, algstat.groebner._divide
+    run = step or original_step
 
-    def step(f, basis, pack):
+    def recorded(f, basis, pack, stop=False):
         steps.append(([lt for lt, _, _ in basis.items], []))
-        return original_step(f, basis, pack)
+        return run(f, basis, pack, stop)
 
     def divide(p, reducers, bound=None):
         rem, scale = original_divide(p, reducers, bound)
@@ -606,20 +662,23 @@ def _loop_bases(ideal):
             steps[-1][1].append((bound, not rem))
         return rem, scale
 
-    algstat.groebner._signature_step, algstat.groebner._divide = step, divide
-    sig = _divisors(ideal.generators[:known], pack)
+    algstat.groebner._signature_step, algstat.groebner._divide = recorded, divide
     try:
-        _signature_loop(inputs, sig, pack)
+        yield steps
     finally:
         algstat.groebner._signature_step = original_step
         algstat.groebner._divide = original_divide
+
+
+def _signature_run(ideal, step=None):
+    """The signature loop's grown index of an ideal, from the inputs that
+    buchberger prepares, and its recorded steps (see _recorded_steps)."""
+    pack, inputs, sig = _loop_inputs(ideal)
+    with _recorded_steps(step) as steps:
+        _signature_loop(inputs, sig, pack)
     # a finished step leaves no signature behind: its elements are basis
     assert sig.sigs == [None] * len(sig)
-
-    def reduced(index):
-        return [t for _, _, t in _interreduce([t for _, _, t in index.items], pack).items]
-
-    return reduced(pair), reduced(sig), steps, remainders.count([])
+    return sig, steps
 
 
 def _monomials_by_key(order, n, keys):
@@ -811,6 +870,136 @@ def test_signature_loop_matches_the_pair_loop():
     # reductions to zero in the pair loop that the signature loop skips
     assert saturations["pair loop zeros"] >= 20
     assert saturations["enlarged"] >= 8 and saturations["unchanged"] >= 3, saturations
+
+
+def _reference_signature_step(f, basis, pack, stop=False):
+    """_signature_step with its criteria at pop time: every J-pair is
+    keyed, kept per signature and queued, and only when it is popped are
+    the F5 and zero-signature criteria tried, before the cover test."""
+    guard = pack.guard
+    items, sigs = basis.items, basis.sigs
+    nb = len(items)
+    zeros = []
+    sexps = {}
+    pending = {}
+    heap = []
+
+    def add(terms, se, sk):
+        new = len(items)
+        lk, lm = terms[0][0], terms[0][1]
+        basis.append(terms, sk)
+        sexps[new] = se
+        for q in range(new):
+            lq, _, qterms = items[q]
+            l = pack.lcm(lq, lm)
+            if l == lq + lm:
+                continue
+            kl = pack.key(pack.unpack(l))
+            tk, rec = kl - lk + sk, (kl, l - lm + se, new, l - lm, kl - lk)
+            if q >= nb:
+                tq = kl - qterms[0][0] + sigs[q]
+                if tq == tk:
+                    continue
+                if tq > tk:
+                    tk, rec = tq, (kl, l - lq + sexps[q], q, l - lq, kl - qterms[0][0])
+            old = pending.get(tk)
+            if old is not None and old[0] <= kl:
+                continue
+            if old is None:
+                heapq.heappush(heap, tk)
+            pending[tk] = rec
+
+    add(f, 0, 0)
+    while heap:
+        tk = heapq.heappop(heap)
+        top, t, i, shift, kshift = pending.pop(tk)
+        if basis.divides(t, nb) or any(not (t - z) & guard for z in zeros):
+            continue
+        if any(
+            not (t - se) & guard and tk - sigs[g] + items[g][2][0][0] < top
+            for g, se in sexps.items()
+        ):
+            continue
+        shifted = algstat.groebner._shifted(items[i][2], shift, kshift)
+        r = algstat.groebner._normalize_content(algstat.groebner._divide(shifted, basis, tk)[0])
+        if not r:
+            zeros.append(t)
+            if stop:
+                break
+            continue
+        lk, lm = r[0][0], r[0][1]
+        if any(
+            not (lm - items[g][0]) & guard and lk - items[g][2][0][0] + sigs[g] == tk
+            for g in sexps
+        ):
+            continue
+        add(r, t, tk)
+    sigs[nb:] = [None] * (len(items) - nb)
+    return not zeros
+
+
+class _Eliminating(Exception):
+    """Raised in place of the multiplier elimination, which is the last basis."""
+
+
+def _lagrange_eliminations(corpus):
+    """The ideals that compute_lc_general hands to buchberger on the corpus
+    toric ideals, in both generator orders: model checks, saturations and
+    the multiplier eliminations, which are not computed here."""
+    seen = []
+    original = algstat.groebner.buchberger
+
+    def spy(ideal):
+        seen.append(ideal)
+        if "u_0" in ideal.ring.variables:  # the data: the multipliers' elimination
+            raise _Eliminating
+        return original(ideal)
+
+    algstat.groebner.buchberger = spy
+    try:
+        for _, a in corpus:
+            ix = toric_ideal(a)
+            for gens in (ix.generators, ix.generators[::-1]):
+                with pytest.raises(_Eliminating):
+                    compute_lc_general(Ideal(ix.ring, gens))
+    finally:
+        algstat.groebner.buchberger = original
+    return seen
+
+
+def test_pairs_dropped_when_made_leave_every_reduction_as_it_was(corpus):
+    # Moving the F5 and zero-signature criteria from a pair's pop to its
+    # creation must not change which pairs are reduced, their order or
+    # their results: each step's sequence of (signature key, reduced to
+    # zero) is the reference's, on ideals through the origin, on
+    # saturations, on the corpus Lagrange eliminations and in the
+    # stopping steps that prove saturations trivial.
+    cases = itertools.chain(_origin_cases(), _saturation_cases(), _lagrange_eliminations(corpus))
+    reductions = zeros = 0
+    for ideal in cases:
+        sig, steps = _signature_run(ideal)
+        ref, ref_steps = _signature_run(ideal, _reference_signature_step)
+        assert steps == ref_steps
+        assert [t for _, _, t in sig.items] == [t for _, _, t in ref.items]
+        reductions += sum(len(step) for _, step in steps)
+        zeros += sum(zero for _, step in steps for _, zero in step)
+    verdicts = {True: 0, False: 0}
+    for ideal, f in _certificate_cases():
+        gb = ideal.groebner()
+        pack = _packing(gb.order, gb.ring.nvars)
+        r = algstat.groebner._reduce_full(_primitive_terms(f, pack), gb._reducers)
+        if not r:
+            continue
+        outcomes = []
+        for step in (None, _reference_signature_step):
+            index = _Reducers(pack, [t for _, _, t in gb._reducers.items])
+            with _recorded_steps(step) as steps:
+                verdict = algstat.groebner._signature_step(r, index, pack, stop=True)
+            outcomes.append((verdict, steps, [t for _, _, t in index.items]))
+        assert outcomes[0] == outcomes[1]
+        verdicts[outcomes[0][0]] += 1
+    assert reductions >= 800 and zeros >= 50, (reductions, zeros)
+    assert verdicts[True] >= 30 and verdicts[False] >= 20, verdicts
 
 
 def test_the_loop_rule_chooses_the_loop(monkeypatch, hw_ideal):
