@@ -4,23 +4,24 @@ The engine has two loops that share one reduction kernel, one reducer
 index and one interreduction, so either gives the same reduced basis.
 Every ideal takes an incremental signature loop (Faugere's F5, 2002, in
 the framework of Gao, Volny and Wang, Math. Comp. 2016), which skips
-the pairs that would reduce to zero on a regular sequence, unless its
-inputs hold an affine chart, a linear form with a constant term: the
-ML-degree fibers.  Those take Buchberger's algorithm with normal-pair
-selection (a degree-ordered queue) and the standard pair filters
-(product and chain criteria, applied Gebauer-Moeller style), since
-signatures were measured there and lost (see buchberger).  The
+the pairs that would reduce to zero on a regular sequence, unless an
+input has both a constant term and a term of degree one: the
+ML-degree fibers, whose relations over integer data are affine in p.
+Those take Buchberger's algorithm with normal-pair selection (a
+degree-ordered queue) and the standard pair filters (product and chain
+criteria, applied Gebauer-Moeller style), since signatures were
+measured there and lost (see buchberger).  The correspondence's
 Lagrange eliminations, homogeneous and lattice ideals and the
-saturations, with t*f - 1, take the signature loop.  Every
-reduction, the public `normal_form` included, runs in one fraction-free
-kernel over integer terms; `normal_form` divides the kernel's remainder
-by the scale it accumulated.  The kernel keeps the part of the dividend
-still to be reduced as lazily shifted reducer multiples merged in a heap
-(Johnson, "Sparse polynomial arithmetic", 1974; Monagan and Pearce,
-"Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", 2007): a reduction step adds one stream to the heap, and each
-term of a reducer multiple is made once, when it becomes the leading
-term.
+saturations, whose t*f - 1 has no term of degree one, take the
+signature loop.  Every reduction, the public `normal_form` included,
+runs in one fraction-free kernel over integer terms; `normal_form`
+divides the kernel's remainder by the scale it accumulated.  The kernel
+keeps the part of the dividend still to be reduced as lazily shifted
+reducer multiples merged in a heap (Johnson, "Sparse polynomial
+arithmetic", 1974; Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", 2007): a reduction
+step adds one stream to the heap, and each term of a reducer multiple
+is made once, when it becomes the leading term.
 
 A kernel term is (key, exponents, coefficient) with the first two packed
 into one int each (Monagan and Pearce, "Sparse polynomial division using
@@ -581,14 +582,18 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     returned basis is the same reduced one, ascending by leading term,
     whichever ran.
 
-    * When an input outside the known prefix is an affine chart, a
-      linear form with a constant term, the pair loop runs (_pair_loop):
+    * When an input outside the known prefix has both a constant term
+      and a term of degree one, the pair loop runs (_pair_loop):
       Buchberger's pairs with the product and chain criteria.  The
-      ML-degree fibers (the chart sum p - 1 and integer data) take it.
+      ML-degree fibers take it: the toric fiber's linear forms
+      s * (a . p) - a . u*, and the Lagrange fiber's relations
+      u*_i - p_i * (sum u* + ...), whose multiplier of sum p is fixed.
     * Otherwise the signature loop runs (_signature_loop): incremental,
       signature-based, so it skips the pairs that would reduce to zero
-      on a regular sequence.  The Lagrange eliminations, homogeneous and
-      lattice ideals and the saturations (t*f - 1) take it.
+      on a regular sequence.  The correspondence's Lagrange
+      eliminations (u is a variable there, so no constant term),
+      homogeneous and lattice ideals and the saturations (t*f - 1, with
+      no term of degree one when f has no constant term) take it.
 
     The rule exists because the signature loop was measured on every
     call.  On the Lagrange eliminations the pair loop's criteria keep
@@ -601,8 +606,8 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     final basis.  Sending inputs that outnumber the variables to the
     pair loop fixed the 4-chain but lost on the benchmark and on the
     star, whose relations outnumber their variables as much: the rule
-    has no such clause.  The test looks at the degree of the inputs that
-    have a constant term.
+    has no such clause.  The test reads only the inputs' terms of degree
+    zero and one.
 
     When the ideal's leading generators are known to be a Groebner basis
     already (``saturate`` marks them so), they are registered as
@@ -621,9 +626,11 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     inputs = [_primitive_terms(g, pack) for g in gens]
     inputs.sort(key=lambda t: (t[0][0], t))
     basis = _divisors(ideal.generators[:known], pack)
-    # an affine chart is a linear form with a constant term, which comes last
-    chart = any(g.total_degree() == 1 and not any(g.terms[-1][0]) for g in gens)
-    loop = _pair_loop if chart else _signature_loop
+    # a constant term comes last
+    affine = any(
+        not any(g.terms[-1][0]) and any(sum(m) == 1 for m, _ in g.terms) for g in gens
+    )
+    loop = _pair_loop if affine else _signature_loop
     loop(inputs, basis, pack)
     reduced = _interreduce([t for _, _, t in basis.items], pack)
     unpack = pack.unpack
@@ -736,10 +743,18 @@ def _signature_step(f, basis: _Reducers, pack: _Packing, stop=False) -> bool:
     when gcd(lm b, lm g) divides sig(g).  When a pair is popped, the zero
     test runs again, for the zeros found since it was made, and the pair
     is skipped when it is covered: some step element g has sig(g) | T
-    and (T / sig(g)) lm(g) < the multiple's leading monomial.  A reduced
-    pair whose leading term a step element divides at signature exactly
-    T is dropped as redundant.  When no pair is left, B and the step's
-    elements are a Groebner basis of B + (f).
+    and (T / sig(g)) lm(g) < the multiple's leading monomial.  When no
+    pair is left, B and the step's elements are a Groebner basis of
+    B + (f).
+
+    A nonzero remainder is never singular top-reducible, so it needs no
+    test for that.  The multiple's leading monomial is the pair's lcm,
+    which the pair's other side divides at a smaller signature (or with
+    none, in B), so regular reduction removes it and the remainder's
+    leading monomial lm(r) lies below it.  A step element g with
+    (lm(r) / lm(g)) sig(g) = T would then have sig(g) | T and
+    (T / sig(g)) lm(g) = lm(r), below the multiple's leading monomial:
+    g would have covered the pair.
 
     Testing when a pair is made reduces the same pairs, in the same
     order, as testing only when it is popped.  The F5 verdict depends on
@@ -819,12 +834,6 @@ def _signature_step(f, basis: _Reducers, pack: _Packing, stop=False) -> bool:
             if stop:
                 break
             continue
-        lk, lm = r[0][0], r[0][1]
-        if any(
-            not (lm - items[g][0]) & guard and lk - items[g][2][0][0] + sigs[g] == tk
-            for g in sexps
-        ):
-            continue  # singular top-reducible: redundant
         add(r, t, tk)
     sigs[nb:] = [None] * (len(items) - nb)
     return not zeros
@@ -940,30 +949,34 @@ def eliminate(ideal: Ideal, k: int) -> Ideal:
     return out
 
 
-def _eliminate_auxiliary(ring: PolyRing, k: int, build, known=()) -> Ideal:
+def _eliminate_auxiliary(ring: PolyRing, k: int, build, base=(), known=False) -> Ideal:
     """Add k auxiliary variables to ring, build an ideal, eliminate them again.
 
     The auxiliary variables are named t_0..t_{k-1}, or t1_0.., t2_0..,
     and so on, the first of these lists that shares no name with the
     ring.  They go in front of the ring's variables under block(k), and
     build(aux, variables), given the extension ring's generators in
-    those two groups, returns the generators of the ideal there.  The
-    elimination ideal is returned in ``ring``.
+    those two groups, returns the generators that involve them.  The
+    ideal is those and ``base``, polynomials in ring's variables, mapped
+    into the extension ring.  Its elimination ideal is returned in ``ring``.  With
+    k = 0 the extension ring is ``ring`` and the ideal is returned as
+    built.
 
-    ``known``, if given, is a grevlex Groebner basis in ``ring``; it joins
-    the built generators as a basis that ``buchberger`` does not pair
-    with itself.  block(k) restricted to monomials free of the auxiliary
-    variables is grevlex, so it is still a Groebner basis there.
+    ``known`` says that ``base`` is a grevlex Groebner basis in ``ring``;
+    ``buchberger`` then does not pair it with itself.  block(k)
+    restricted to monomials free of the auxiliary variables is grevlex,
+    so it is still a Groebner basis there.
     """
     taken = set(ring.variables)
     for i in itertools.count():
         names = tuple(f"t{i or ''}_{j}" for j in range(k))
         if taken.isdisjoint(names):
             break
-    ext = PolyRing(names + ring.variables, MonomialOrder.block(k))
+    ext = PolyRing(names + ring.variables, MonomialOrder.block(k) if k else ring.order)
     gens = ext.gens()
-    ideal = Ideal(ext, [map_to_ring(g, ext) for g in known] + build(gens[:k], gens[k:]))
-    ideal._known = len(known)
+    ideal = Ideal(ext, [map_to_ring(g, ext) for g in base] + build(gens[:k], gens[k:]))
+    if known:
+        ideal._known = len(base)
     elim = eliminate(ideal, k)
     if elim.ring == ring:
         return elim
@@ -1034,14 +1047,13 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
             out._gb = GroebnerBasis(out, out.generators, GREVLEX)
             out._gb._reducers = gb._reducers if r else None
             return out
-    known = gb.basis if gb is not None else ()
 
     def build(aux, _):
         t = aux[0]
-        rest = () if known else ideal.generators
-        return [map_to_ring(g, t.ring) for g in rest] + [t * map_to_ring(f, t.ring) - 1]
+        return [t * map_to_ring(f, t.ring) - 1]
 
-    return _eliminate_auxiliary(ring, 1, build, known)
+    base = ideal.generators if gb is None else gb.basis
+    return _eliminate_auxiliary(ring, 1, build, base, known=gb is not None)
 
 
 def _colon_is_trivial(gb: GroebnerBasis, r) -> bool:

@@ -150,8 +150,6 @@ def compute_lc_toric(model, saturation: str = "hyperplane") -> LikelihoodIdeal:
     model = toric_model(model)
     a = model.matrix
     n = a.ncols - 1
-    if n < 1:
-        raise ValueError("need at least two states")
     ring = lc_ring(n)
     gens = ring.gens()
     j = Ideal(ring, _toric_relations(a, toric_ideal(model), ring, gens[n + 1 :]))
@@ -172,11 +170,8 @@ def _is_unit(basis) -> bool:
 
 
 def _saturate_by_ideal(ideal: Ideal, multiplier: Ideal) -> Ideal:
-    """I : J^infinity — intersect the saturations at J's generators."""
-    gens = multiplier.generators
-    if not gens:
-        raise ValueError("cannot saturate at the zero ideal")
-    parts = [saturate(ideal, f) for f in gens]
+    """I : J^infinity — intersect the saturations at J's generators (J != 0)."""
+    parts = [saturate(ideal, f) for f in multiplier.generators]
     out = parts[0]
     for part in parts[1:]:
         out = intersect(out, part)
@@ -285,12 +280,10 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
     ring = PolyRing(p_ring.variables + u_names, GREVLEX)
 
     def build(lam, pu):
-        ext = lam[0].ring
-        base = [map_to_ring(g, ext) for g in sat_p.generators]
-        return base + _lagrange_relations(ideal, ext, lam[0], lam[1:], pu[n1:])
+        return _lagrange_relations(ideal, lam[0].ring, lam[0], lam[1:], pu[n1:])
 
     # the elimination is the reduced basis in Q[p, u] under grevlex
-    elim = _eliminate_auxiliary(ring, len(ideal.generators) + 1, build)
+    elim = _eliminate_auxiliary(ring, len(ideal.generators) + 1, build, sat_p.generators)
     out = tuple(g.primitive_part() for g in elim.generators)
     return LikelihoodIdeal(ring, out, "lagrange")
 
@@ -320,8 +313,10 @@ def _fibers(model_input):
     sum p = 1, off the coordinate hyperplanes; each route builds the
     ideal that its exactness argument in ``ml_degree`` needs.  Whatever
     every trial shares (the toric ideal, the model checks) is done
-    here, once.  The Lagrange route's multipliers lam_1..lam_r get fresh
-    names, so the model may use any variable names, u_0..u_n included.
+    here, once.  The Lagrange route's fiber is the model ideal plus the
+    relations of ``_lagrange_relations``, with the multipliers
+    lam_1..lam_r eliminated; they get fresh names, so the model may use
+    any variable names, u_0..u_n included.
     """
     if isinstance(model_input, LikelihoodIdeal):
         lc = model_input
@@ -350,25 +345,13 @@ def _fibers(model_input):
         _check_model_ideal(model_input)
         n1 = model_input.ring.nvars
         p_ring = PolyRing(model_input.ring.variables, GREVLEX)
-        r = len(model_input.generators)
+        gens = model_input.generators
 
         def fiber(data):
-            # lam_0 = sum u* (see ml_degree); with no other multiplier the
-            # relations u*_i = sum u* * p_i are the fiber
-            if not r:
-                return Ideal(p_ring, _lagrange_relations(model_input, p_ring, sum(data), (), data))
-
-            # the relations already hold the chart (their sum is
-            # sum u* * (1 - sum p) modulo the model ideal); as an input it
-            # is the affine chart that sends the elimination to the pair
-            # loop, which is far faster here (see buchberger)
             def build(lam, p):
-                ext = lam[0].ring
-                chart = ext.poly([(x.leading_monomial(), 1) for x in p] + [((0,) * ext.nvars, -1)])
-                gens = [map_to_ring(g, ext) for g in model_input.generators]
-                return gens + _lagrange_relations(model_input, ext, sum(data), lam, data) + [chart]
+                return _lagrange_relations(model_input, p[0].ring, sum(data), lam, data)
 
-            return _eliminate_auxiliary(p_ring, r, build)
+            return _eliminate_auxiliary(p_ring, len(gens), build, gens)
 
     else:
         raise TypeError(f"cannot compute an ML degree from {type(model_input).__name__}")
@@ -413,19 +396,20 @@ def ml_degree(model_input, trials: int = 3, seed: int = 0, u_range=(1, 1000)) ->
       the fiber, and saturating there would change nothing.
     * ideal input: the Lagrange relations
       u*_i = p_i * (lam_0 + sum_j lam_j df_j/dp_i) over the model ideal
-      itself, plus the chart, with lam_0 = sum u* and lam_1..lam_r
-      eliminated.  Fixing lam_0 loses nothing: with lam_0 a variable,
-      the relations sum, by Euler's relation for the homogeneous f_j, to
-        sum u* - lam_0 * sum p - sum_j lam_j deg(f_j) f_j
-          = sum u* - lam_0  modulo the model ideal and the chart,
-      so lam_0 - sum u* lies in their ideal, and substituting it gives
-      the same elimination.  With u*_i >= 1 every p_i divides a nonzero
-      constant, so it is a unit, and the chart makes sum p one; modulo
-      the relations the model ideal and its saturation at
-      (sum p)(prod p) agree, and so do their eliminations, whose p_i
-      stay units (a g * p_i^k in the elimination puts g in it).  The
-      ideal cuts out the critical points for u*, as the
-      correspondence's fiber does for generic u*.
+      itself, with lam_0 = sum u* and lam_1..lam_r eliminated.  By
+      Euler's relation for the homogeneous f_j, the relations sum to
+        sum u* - lam_0 * sum p - sum_j lam_j deg(f_j) f_j,
+      which is sum u* * (1 - sum p) modulo the model ideal when
+      lam_0 = sum u*: the ideal holds the chart.  Fixing lam_0 loses
+      nothing: with lam_0 a variable and the chart added, the sum is
+      sum u* - lam_0, so lam_0 - sum u* lies in that ideal, and
+      substituting it gives the same elimination.  With u*_i >= 1
+      every p_i divides a nonzero constant, so it is a unit, and the
+      chart makes sum p one; modulo the relations the model ideal and
+      its saturation at (sum p)(prod p) agree, and so do their
+      eliminations, whose p_i stay units (a g * p_i^k in the
+      elimination puts g in it).  The ideal cuts out the critical
+      points for u*, as the correspondence's fiber does for generic u*.
     * a precomputed ``LikelihoodIdeal``: u* is substituted into its
       generators, and the result saturated at the coordinates.  It is
       a closure, so its fiber can hold points on the coordinate

@@ -48,10 +48,13 @@ from algstat import (
     toric_ideal,
 )
 import algstat.groebner
+from algstat.exactmath import det
 from algstat.groebner import (
     _Reducers,
+    _det,
     _divide,
     _divisors,
+    _eliminate_auxiliary,
     _int_terms,
     _interreduce,
     _packing,
@@ -1003,16 +1006,17 @@ def test_pairs_dropped_when_made_leave_every_reduction_as_it_was(corpus):
 
 
 def test_the_loop_rule_chooses_the_loop(monkeypatch, hw_ideal):
-    # The pair loop runs only on an affine chart, a linear form with a
-    # constant term, and the signature loop on everything else: a Lagrange
-    # elimination (2 multipliers, 3 + 3 variables), a saturation (t*f - 1)
-    # and a homogeneous ideal with more generators than variables take the
-    # second, an ML-degree fiber (the chart sum p - 1 and integer data,
-    # 1 multiplier + 3 variables, as lam_0 is fixed) the first.  A
-    # saturation of an ideal whose basis is cached, by a nonzerodivisor,
-    # is proved trivial by one signature step and runs neither loop;
-    # without a cached basis it is one signature-loop call on I's
-    # generators and t*f - 1.
+    # The pair loop runs only when an input has both a constant term and
+    # a term of degree one, and the signature loop on everything else: a
+    # correspondence's Lagrange elimination (2 multipliers, 3 + 3
+    # variables), a saturation (t*f - 1) and a homogeneous ideal with more
+    # generators than variables take the second.  An ML-degree fiber takes
+    # the first: its Lagrange relations over integer data (1 multiplier +
+    # 3 variables, as lam_0 is fixed at sum u*) are affine in p, and no
+    # chart sum p - 1 is added to them.  A saturation of an ideal whose
+    # basis is cached, by a nonzerodivisor, is proved trivial by one
+    # signature step and runs neither loop; without a cached basis it is
+    # one signature-loop call on I's generators and t*f - 1.
     calls = []
     for name in ("_pair_loop", "_signature_loop"):
         loop = getattr(algstat.groebner, name)
@@ -1022,6 +1026,13 @@ def test_the_loop_rule_chooses_the_loop(monkeypatch, hw_ideal):
             return loop(inputs, basis, pack)
 
         monkeypatch.setattr(algstat.groebner, name, spy)
+    ideals = []
+
+    def spy_buchberger(ideal, original=algstat.groebner.buchberger):
+        ideals.append(ideal)
+        return original(ideal)
+
+    monkeypatch.setattr(algstat.groebner, "buchberger", spy_buchberger)
     compute_lc_general(hw_ideal)
     loops = {(name, n) for name, n, _ in calls}
     assert ("_signature_loop", 8) in loops and ("_pair_loop", 8) not in loops
@@ -1039,17 +1050,39 @@ def test_the_loop_rule_chooses_the_loop(monkeypatch, hw_ideal):
     assert [print_polynomial(g) for g in sat.generators] == ["z", "y"]
     assert calls == [("_signature_loop", 4, 3)]
     calls.clear()
+    ideals.clear()
     ml_degree(hw_ideal, trials=1)
     assert {name for name, n, _ in calls if n == 4} == {"_pair_loop"}
+    fibers = [ideal for ideal in ideals if ideal.ring.nvars == 4]
+    assert len(fibers) == 1
+    # the model generator and the three relations, and no linear chart
+    assert [g.total_degree() for g in fibers[0].generators] == [2, 3, 3, 3]
     calls.clear()
     quadrics = _ideal(r, "x^2", "x*y", "x*z", "y^2", "y*z", "z^2 - x*y")
     assert len(quadrics.groebner()) == 6
-    # a constant term alone is no chart
+    # a constant term alone, or a degree-one term alone, takes no pair loop
     assert [print_polynomial(g) for g in _ideal(r, "x^2 - 1", "x*y - 1").groebner()] == [
         "x - y",
         "y^2 - 1",
     ]
-    assert calls == [("_signature_loop", 3, 6), ("_signature_loop", 3, 2)]
+    assert [print_polynomial(g) for g in _ideal(r, "x^2 + y", "x*y + z").groebner()] == [
+        "y^2 - x*z",
+        "x*y + z",
+        "x^2 + y",
+    ]
+    assert calls == [
+        ("_signature_loop", 3, 6),
+        ("_signature_loop", 3, 2),
+        ("_signature_loop", 3, 2),
+    ]
+    calls.clear()
+    # both on one input: the pair loop, though the input is no linear form
+    assert [print_polynomial(g) for g in _ideal(r, "x*y + x - 1", "y^2 - z").groebner()] == [
+        "x*z - x - y + 1",
+        "y^2 - z",
+        "x*y + x - 1",
+    ]
+    assert calls == [("_pair_loop", 3, 2)]
 
 
 def test_buchberger_interreduces_once_in_either_loop(monkeypatch, hw_ideal):
@@ -1118,6 +1151,25 @@ def test_eliminate_rejects_bad_counts():
     with pytest.raises(ValueError):
         eliminate(i, -1)
     assert eliminate(i, 0) is i
+
+
+def test_eliminate_auxiliary_with_no_auxiliary_variable_returns_the_built_ideal():
+    # k = 0: the extension ring is the ring itself, nothing is eliminated,
+    # and base comes first, then what build returns
+    for order in (GREVLEX, LEX):
+        r = _ring(("x", "y"), order)
+        x, y = r.gens()
+        seen = []
+
+        def build(aux, variables):
+            seen.append((aux, variables))
+            return [variables[0] - variables[1]]
+
+        out = _eliminate_auxiliary(r, 0, build, [x * y])
+        assert seen == [((), (x, y))]
+        assert out.ring == r and out.generators == (x * y, x - y)
+        assert out._known == 0
+        assert _eliminate_auxiliary(r, 0, build, [x * y], known=True)._known == 1
 
 
 def test_eliminate_restricts_the_ring_order():
@@ -1517,6 +1569,22 @@ def test_groebner_basis_and_its_ideal_form_no_reference_cycle():
 # -------------------------------------------------- intersect / dimension
 
 
+def test_ideal_saturate_and_intersect_reject_bad_input():
+    r = _ring(("x", "y"))
+    other = _ring(("x", "z"))
+    with pytest.raises(TypeError):
+        Ideal(r, [r.gen(0), 1])
+    with pytest.raises(ValueError):
+        Ideal(r, [r.gen(0), other.gen(0)])
+    i = _ideal(r, "x*y")
+    with pytest.raises(ValueError):
+        saturate(i, other.gen(0))
+    with pytest.raises(ValueError):
+        saturate(i, r.zero())
+    with pytest.raises(ValueError):
+        intersect(i, _ideal(other, "x"))
+
+
 def test_intersect_principal_ideals():
     r = _ring(("x", "y"))
     out = intersect(_ideal(r, "x"), _ideal(r, "y"))
@@ -1794,6 +1862,8 @@ def test_minors_rejects_oversize():
     m = PolyMatrix([[r.gen(0)]])
     with pytest.raises(ValueError):
         minors(2, m)
+    with pytest.raises(ValueError):
+        minors(0, m)
 
 
 def test_poly_matrix_rejects_mixed_rings():
@@ -1801,6 +1871,46 @@ def test_poly_matrix_rejects_mixed_rings():
     b = _ring(("y",))
     with pytest.raises(ValueError):
         PolyMatrix([[a.gen(0), b.gen(0)]])
+
+
+def test_poly_matrix_rejects_ragged_rows_and_ringless_empty_input():
+    r = _ring(("x", "y"))
+    x, y = r.gens()
+    with pytest.raises(ValueError):
+        PolyMatrix([[x, y], [x]])
+    for entries in ([], [[]]):
+        with pytest.raises(ValueError):
+            PolyMatrix(entries)
+    empty = PolyMatrix([], r)
+    assert (empty.nrows, empty.ncols, empty.ring) == (0, 0, r)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_laplace_determinant_matches_bareiss_at_integer_points(n):
+    # _det expands along the first row for n >= 3; evaluated at integer
+    # points it must give the fraction-free Bareiss determinant of the
+    # evaluated matrix
+    names = tuple(f"x_{i}" for i in range(3))
+    r = _ring(names)
+    rng = random.Random(n)
+
+    def entry():
+        terms = [
+            (tuple(rng.randint(0, 2) for _ in names), rng.randint(-3, 3)) for _ in range(2)
+        ]
+        return r.poly(terms)
+
+    for _ in range(5):
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        d = _det(rows)
+        for _ in range(4):
+            point = {name: rng.randint(-4, 4) for name in names}
+
+            def value(f):
+                return int(f.substitute(point).constant_coefficient())
+
+            m = IntMatrix([[value(e) for e in row] for row in rows])
+            assert value(d) == det(m)
 
 
 def test_mul_int_poly():

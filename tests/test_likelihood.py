@@ -208,6 +208,19 @@ def test_lc_general_rejects_inhomogeneous():
         compute_lc_general(Ideal(r, [parse_polynomial("x^2 - y", r)]))
 
 
+def test_one_state_has_no_correspondence_and_no_ml_degree():
+    # lc_ring rejects a one-column matrix, and the model check a
+    # one-variable ideal; the fiber builders reject both for ml_degree
+    one_column = IntMatrix([[1]])
+    one_variable = Ideal(PolyRing(("p_0",), GREVLEX), [])
+    for call in (compute_lc_toric, ml_degree):
+        with pytest.raises(ValueError, match="two states"):
+            call(one_column)
+    for call in (compute_lc_general, ml_degree):
+        with pytest.raises(ValueError, match="two states"):
+            call(one_variable)
+
+
 def test_lc_general_rejects_unit_ideal():
     r = PolyRing(("x", "y"), GREVLEX)
     with pytest.raises(ValueError):
@@ -466,6 +479,8 @@ def test_ml_degree_trials_and_range_validation(hw_ideal):
         ml_degree(hw_ideal, u_range=(7, 3))
     with pytest.raises(InputError):
         ml_degree(hw_ideal, u_range=(1, "big"))
+    with pytest.raises(TypeError):
+        ml_degree("not a model")
     assert ml_degree(hw_ideal, trials=1, u_range=(5, 5)) == 1
 
 

@@ -12,6 +12,7 @@ from algstat import (
     LEX,
     MonomialOrder,
     ParseError,
+    Polynomial,
     PolyRing,
     map_to_ring,
     parse_polynomial,
@@ -407,6 +408,23 @@ def test_parse_basic():
 def test_parse_underscore_optional():
     r = PolyRing(("p_0", "p_1"), GREVLEX)
     assert parse_polynomial("p0 - p1", r) == parse_polynomial("p_0 - p_1", r)
+    # and the other way: p_0 names a ring variable p0
+    bare = PolyRing(("p0", "p1"), GREVLEX)
+    assert parse_polynomial("p_0 - p_1", bare) == bare.gen("p0") - bare.gen("p1")
+    assert print_polynomial(parse_polynomial("p_0*p1", bare)) == "p0*p1"
+
+
+def test_polynomial_constructor_canonicalizes_its_terms():
+    # the public constructor sorts, merges and drops zero terms, as ring.poly does
+    r = PolyRing(("x", "y"), GREVLEX)
+    terms = [((0, 1), 2), ((1, 0), Fraction(1, 2)), ((0, 1), -2), ((2, 0), 3), ((0, 0), 0)]
+    f = Polynomial(r, terms)
+    assert f.ring == r and f == r.poly(terms)
+    assert f.terms == (((2, 0), Fraction(3)), ((1, 0), Fraction(1, 2)))
+    assert Polynomial(r, {(1, 1): 1}) == r.gen("x") * r.gen("y")
+    assert Polynomial(r, []).is_zero()
+    with pytest.raises(ValueError):
+        Polynomial(r, [((1,), 1)])
 
 
 def test_parse_rational_coefficients():
