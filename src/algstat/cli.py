@@ -20,6 +20,7 @@ cap).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -338,11 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser serves every run in a process.  parse_args keeps no state
+# between calls, and usage, help and errors go to the sys.stdout or
+# sys.stderr current at the call.
+_parser = functools.cache(build_parser)
+
+
 def run(argv) -> int:
     """Parse argv, run the one computation, print, return the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

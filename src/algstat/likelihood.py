@@ -6,10 +6,11 @@ closure of the set of pairs (p, u) where p is a critical point of the
 likelihood  prod p_i^{u_i} / (sum p_i)^{sum u_i}  on the model.  Its
 ideal lives in Q[p, u] and is computed here two ways:
 
-* a fast path for toric models: the toric ideal plus the 2x2 minors of
-  A * [p u], saturated once, at sum p_i (that saturation already misses
-  every coordinate hyperplane; the "full" reference mode also saturates
-  at every p_i and gives the same ideal);
+* a fast path for toric models, as a graph: the toric ideal plus
+  A u = lam A p, with the one multiplier lam eliminated, and no
+  saturation (that ideal already misses every coordinate hyperplane;
+  the "full" reference mode forms the 2x2 minors of A * [p u] instead,
+  saturates at sum p and at every p_i, and gives the same ideal);
 * a general path for arbitrary homogeneous ideals: Lagrange
   multipliers lambda_j in an elimination block (fresh auxiliary
   variables, see ``groebner``), the critical equations
@@ -20,9 +21,10 @@ The ML degree is the number of critical points for generic data.
 ``ml_degree`` puts seeded random integer data u* into the construction
 before any Groebner work, so it never builds a correspondence: it
 counts the fiber over u* in Q[p] on the chart sum p = 1 and takes the
-modal count across trials.  The toric fiber is I_A plus the linear
-equations A p = A u* / sum u*, built from integers; the Lagrange fiber
-has its multiplier of sum p fixed at sum u*, by Euler's relation.
+modal count across trials.  The toric fiber is I_A plus the toric
+path's relations at u = u* and lam = sum u*, the linear equations
+A p = A u* / sum u*, built from integers; the Lagrange fiber has its
+multiplier of sum p fixed at sum u*, by Euler's relation.
 Neither needs a saturation, as u* >= 1 already keeps every point off
 the coordinate hyperplanes (see ``ml_degree``); only a precomputed
 ``LikelihoodIdeal`` has its own generators substituted and the result
@@ -65,8 +67,10 @@ class LikelihoodIdeal:
 
     ``mode`` records which construction produced it ("toric" or
     "lagrange").  Either way the ideal is saturated at (sum p)(prod p):
-    the Lagrange path saturates at each factor, the toric path once at
-    sum p, which already gives the same ideal (see ``compute_lc_toric``).
+    the Lagrange path saturates at each factor; the toric path
+    eliminates one multiplier from a prime ideal that misses that
+    product, which gives the same ideal with no saturation (see
+    ``compute_lc_toric``).
     """
 
     __slots__ = ("ring", "generators", "mode")
@@ -110,40 +114,76 @@ def _toric_relations(a: IntMatrix, ix: Ideal, ring: PolyRing, u) -> list:
     return gens
 
 
-def _affine_relations(a: IntMatrix, ring: PolyRing, data) -> list:
-    """s * (a . p) - a . u* for each row a of A, with s = sum u*: A p = A u* / s.
+def _terms(x, ring: PolyRing):
+    """The terms of x, a polynomial of ``ring`` or an integer."""
+    return x.terms if isinstance(x, Polynomial) else (((0,) * ring.nvars, x),)
 
-    ``ring`` is Q[p_0..p_n].  Each form is built from integers in one
+
+def _row_relations(a: IntMatrix, ring: PolyRing, lam, u) -> list:
+    """a . u - lam * (a . p), one per row a of A: the equations A u = lam A p.
+
+    ``ring`` holds p_0..p_n by name.  ``lam`` and the data ``u`` are each
+    a variable of ``ring`` or an integer: variables for the
+    correspondence, sum u* and u* for the fiber over u* (see
+    ``ml_degree``).  Each relation is built from integers in one
     ``ring.poly`` call.
     """
-    s = sum(data)
-    n1 = a.ncols
-    zero = (0,) * n1
-    unit = [zero[:j] + (1,) + zero[j + 1 :] for j in range(n1)]
+    lam_p = []  # the terms of -lam * p_j, for each column j
+    for j in range(a.ncols):
+        k = ring.var_index(f"p_{j}")
+        lam_p.append([(m[:k] + (m[k] + 1,) + m[k + 1 :], -c) for m, c in _terms(lam, ring)])
+    u_terms = [_terms(x, ring) for x in u]
     out = []
     for row in a.entries:
-        terms = [(unit[j], s * x) for j, x in enumerate(row) if x]
-        terms.append((zero, -sum(x * d for x, d in zip(row, data))))
-        out.append(ring.poly(terms))
+        rel = []
+        for x, ut, lt in zip(row, u_terms, lam_p):
+            if x:
+                rel.extend((m, x * c) for m, c in ut)
+                rel.extend((m, x * c) for m, c in lt)
+        out.append(ring.poly(rel))
     return out
 
 
 def compute_lc_toric(model, saturation: str = "hyperplane") -> LikelihoodIdeal:
     """Likelihood correspondence of a toric model.
 
-    The toric ideal I_A plus the 2x2 minors of A * [p u] (none if A has
-    one row), saturated once, at sum p.  That is already the saturation
-    at (sum p)(prod p): A's row span holds the ones vector, so where
-    sum p != 0 the minors say A u = (sum u / sum p) A p, linear in u with
-    solutions of dimension n + 2 - rank A over every point of X_A.  The
-    saturation at sum p is thus prime (a vector bundle over an integral
-    base) and misses prod p (p = u = (1, ..., 1) lies on it), so the p_i
-    saturations would leave it as it is.  ``saturation="full"`` is the
-    reference that runs them anyway, at sum p and then at every p_i; it
-    gives the same ideal.  There each p_i saturation starts from the
-    cached basis of the one before, and p_i is a nonzerodivisor modulo
-    it, so saturate proves it trivial with one signature step and runs
-    no elimination.
+    The default mode ("hyperplane") builds it as a graph: u - lam p
+    lies in ker A, a vector bundle over X_A (Huh and Sturmfels,
+    "Likelihood Geometry", 2014).  The one multiplier lam is eliminated
+    from
+        J = I_A + (a . u - lam * (a . p) for each row a of A),
+    with no minors and no saturation.  The elimination ideal
+    K = J & Q[p, u] is the correspondence
+    (I_A + the 2x2 minors of A * [p u]) : (sum p)^inf:
+
+    * J is prime.  Rank A of the relations generate them all over Q and
+      solve for rank A of the u's, so Q[lam, p, u] / J is
+      (Q[p] / I_A)[lam, the other u's], a polynomial ring over a domain.
+      So K is prime.
+    * sum p is not in K, as p = u = (1, ..., 1), lam = 1 lies on J.  So
+      K : (sum p)^inf = K.
+    * The minors lie in K: modulo J, (a . p)(b . u) - (b . p)(a . u) is
+      lam * ((a . p)(b . p) - (b . p)(a . p)) = 0.
+    * A's row span holds the ones vector: w A = 1 for a rational w, and
+      sum_a w_a (a . u - lam * (a . p)) = sum u - lam * sum p lies in J,
+      so lam = sum u / sum p modulo J once sum p is inverted.  Putting
+      that for lam maps Q[lam, p, u] into Q[p, u][1 / sum p], fixes K,
+      and sends the relation of row a to
+        sum_b w_b ((b . p)(a . u) - (a . p)(b . u)) / sum p,
+      a combination of the minors.  So it sends J into
+      (I_A + minors)[1 / sum p], and K lies in (I_A + minors) : (sum p)^inf.
+    * That saturation lies in K : (sum p)^inf = K.
+
+    So the two are equal, with no condition on the generator count or
+    the rank of A.  K also misses prod p (the same point lies on it),
+    so it is already saturated at (sum p)(prod p).
+
+    ``saturation="full"`` is the reference built the other way: I_A plus
+    the minors (none if A has one row), saturated at sum p and then at
+    every p_i.  It gives the same ideal.  There each p_i saturation
+    starts from the cached basis of the one before, and p_i is a
+    nonzerodivisor modulo it, so saturate proves it trivial with one
+    signature step and runs no elimination.
     """
     if saturation not in ("full", "hyperplane"):
         raise InputError("saturation mode must be 'full' or 'hyperplane'")
@@ -151,16 +191,20 @@ def compute_lc_toric(model, saturation: str = "hyperplane") -> LikelihoodIdeal:
     a = model.matrix
     n = a.ncols - 1
     ring = lc_ring(n)
-    gens = ring.gens()
-    j = Ideal(ring, _toric_relations(a, toric_ideal(model), ring, gens[n + 1 :]))
-    p_gens = list(gens[: n + 1])
-    p_sum = sum(p_gens[1:], p_gens[0])
+    ix = toric_ideal(model)
     if saturation == "full":
-        sat = saturate_by_product(j, [p_sum] + p_gens)
+        gens = ring.gens()
+        j = Ideal(ring, _toric_relations(a, ix, ring, gens[n + 1 :]))
+        p_gens = list(gens[: n + 1])
+        lc = saturate_by_product(j, [sum(p_gens[1:], p_gens[0])] + p_gens)
     else:
-        sat = saturate(j, p_sum)
-    # both return saturate's reduced basis in Q[p, u] under grevlex
-    out = tuple(g.primitive_part() for g in sat.generators)
+
+        def build(lam, pu):
+            return _row_relations(a, lam[0].ring, lam[0], pu[n + 1 :])
+
+        lc = _eliminate_auxiliary(ring, 1, build, ix.generators)
+    # both are the reduced basis in Q[p, u] under grevlex
+    out = tuple(g.primitive_part() for g in lc.generators)
     return LikelihoodIdeal(ring, out, "toric")
 
 
@@ -203,12 +247,7 @@ def _lagrange_relations(ideal: Ideal, ring: PolyRing, lam0, lam, u) -> list:
     ``ring.poly`` call: for a term c*m of f_j, p_i * d(c*m)/dp_i is
     (c*m_i)*m, and the factor lam_j shifts its exponents.
     """
-    zero = (0,) * ring.nvars
     pos = [ring.var_index(name) for name in ideal.ring.variables]
-
-    def terms(x):
-        return x.terms if isinstance(x, Polynomial) else ((zero, x),)
-
     scaled = []  # (exponents in ring with lam_j's, c, the term's own exponents)
     for lam_j, f in zip(lam, ideal.generators):
         shift = lam_j.leading_monomial()
@@ -219,8 +258,8 @@ def _lagrange_relations(ideal: Ideal, ring: PolyRing, lam0, lam, u) -> list:
             scaled.append((tuple(e), c, m))
     out = []
     for i, (k, u_i) in enumerate(zip(pos, u)):
-        rel = list(terms(u_i))
-        rel.extend((m0[:k] + (m0[k] + 1,) + m0[k + 1 :], -c0) for m0, c0 in terms(lam0))
+        rel = list(_terms(u_i, ring))
+        rel.extend((m0[:k] + (m0[k] + 1,) + m0[k + 1 :], -c0) for m0, c0 in _terms(lam0, ring))
         rel.extend((e, -c * m[i]) for e, c, m in scaled if m[i])
         out.append(ring.poly(rel))
     return out
@@ -291,8 +330,8 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
 def compute_lc(model_input, *, saturate_singular: bool = False) -> LikelihoodIdeal:
     """Dispatch on the input kind.
 
-    Toric models and graphs go through the toric construction, with its
-    one saturation at sum p; raw ideals through the Lagrange
+    Toric models and graphs go through the toric construction, the
+    elimination of one multiplier; raw ideals through the Lagrange
     construction, which alone accepts ``saturate_singular``.
     """
     if isinstance(model_input, LikelihoodIdeal):
@@ -339,7 +378,7 @@ def _fibers(model_input):
         ix = toric_ideal(model)
 
         def fiber(data):
-            return Ideal(ix.ring, ix.generators + tuple(_affine_relations(a, ix.ring, data)))
+            return Ideal(ix.ring, ix.generators + tuple(_row_relations(a, ix.ring, sum(data), data)))
 
     elif isinstance(model_input, Ideal):
         _check_model_ideal(model_input)
@@ -377,23 +416,25 @@ def ml_degree(model_input, trials: int = 3, seed: int = 0, u_range=(1, 1000)) ->
     No correspondence is built.  Every route cuts its fiber to the chart
     sum p = 1, and each is exact:
 
-    * toric input: I_A plus e_i = s * (a_i . p) - c_i for each row a_i
-      of A, where s = sum u* and c = A u*: the equations A p = A u* / s.
-      They generate I_A plus the 2x2 minors of A * [p | u*] plus the
-      chart.  With w rational and w A = 1 (A's row span holds the ones
-      vector), and s != 0 as u* >= 1:
-        s * minor_ij = e_i c_j - e_j c_i,  s * (sum p - 1) = sum_i w_i e_i;
-        e_i = sum_j w_j minor_ij + c_i * (sum p - 1).
+    * toric input: I_A plus e_i = c_i - s * (a_i . p) for each row a_i
+      of A, where s = sum u* and c = A u*: the toric path's relations at
+      u = u* and lam = s, the equations A p = A u* / s.  They generate
+      I_A plus the 2x2 minors of A * [p | u*] plus the chart.  With w
+      rational and w A = 1 (A's row span holds the ones vector), and
+      s != 0 as u* >= 1:
+        s * minor_ij = e_j c_i - e_i c_j,  s * (1 - sum p) = sum_i w_i e_i;
+        e_i = c_i * (1 - sum p) - sum_j w_j minor_ij.
       The correspondence is J : (sum p)^inf for J = I_A + the minors of
-      A * [p | u]; the two generate one ideal once (sum p)(prod p) is
-      inverted, and substituting u* is a ring map, so their fibers agree
-      off the coordinate hyperplanes.  The fiber has no point on them.
-      At a point p of the fiber, the support of p is the column set of
-      a face F of conv(A), and A p = A u* / s lies in the span of F.  As
-      u* >= 1, A u* is a positive combination of every column, so it
-      misses each proper face's supporting hyperplane: F is all of
-      conv(A) and every p_i is nonzero.  So every p_i is a unit modulo
-      the fiber, and saturating there would change nothing.
+      A * [p | u] (see ``compute_lc_toric``); the two generate one ideal
+      once (sum p)(prod p) is inverted, and substituting u* is a ring
+      map, so their fibers agree off the coordinate hyperplanes.  The
+      fiber has no point on them.  At a point p of the fiber, the
+      support of p is the column set of a face F of conv(A), and
+      A p = A u* / s lies in the span of F.  As u* >= 1, A u* is a
+      positive combination of every column, so it misses each proper
+      face's supporting hyperplane: F is all of conv(A) and every p_i
+      is nonzero.  So every p_i is a unit modulo the fiber, and
+      saturating there would change nothing.
     * ideal input: the Lagrange relations
       u*_i = p_i * (lam_0 + sum_j lam_j df_j/dp_i) over the model ideal
       itself, with lam_0 = sum u* and lam_1..lam_r eliminated.  By

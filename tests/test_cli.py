@@ -507,3 +507,26 @@ def test_guardrail_exits_two(capsys, monkeypatch, hw_file):
     code, _, err = _run(capsys, "ml-degree", hw_file)
     assert code == 2
     assert "cap" in err
+
+
+def test_runs_share_one_parser_and_print_what_fresh_parsers_print(capsys, monkeypatch):
+    # a usage error, a success, --help and another subcommand, in that
+    # order, through the one parser, then each through a fresh parser
+    calls = [
+        ["ml-degree", "--matrix", "1 1 1;0 1 2", "--inline", "--bogus"],
+        ["ml-degree", "--matrix", "1 1 1;0 1 2", "--inline"],
+        ["--help"],
+        ["scroll", "--blocks", "1,2"],
+        ["ml-degree", "--help"],
+        ["drv", "mean", "--arity", "3"],
+    ]
+
+    def outputs():
+        return [_run(capsys, *argv) for argv in calls]
+
+    shared = outputs()
+    assert algstat.cli._parser() is algstat.cli._parser()
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0, 0]
+    assert shared[1][1] == "2\n" and shared[2][1].startswith("usage: algstat")
+    monkeypatch.setattr(algstat.cli, "_parser", algstat.cli.build_parser)
+    assert outputs() == shared
