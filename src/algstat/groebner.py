@@ -50,9 +50,11 @@ Only candidates get the divisibility test, lowest list position first,
 so the reducer chosen is the one a scan of the whole list would choose.
 The index only grows at its end: in buchberger, in either loop, it is
 the basis itself, reducers in the order found, interreduced once when
-the loop ends.  The pair loop names its pairs by positions in it, and a
-signature step reads the leading monomials of the basis it started from
-at the positions below its own first element.  In a signature step the
+the loop ends; for an elimination, only its elements free of the
+auxiliary variables are interreduced (see buchberger).  The pair loop
+names its pairs by positions in it, and a signature step reads the
+leading monomials of the basis it started from at the positions below
+its own first element.  In a signature step the
 step's elements carry their signatures, and each reduces a term only
 where the division stays regular (see _divide); when the step ends they
 are cleared, and the elements reduce as basis elements.
@@ -60,12 +62,17 @@ are cleared, and the elements reduce as basis elements.
 The reduced basis handed back is monic over Q, sorted ascending by
 leading term, and therefore canonical for the ideal and order.
 
-A known basis is not computed twice.  An elimination under grevlex
-returns its reduced basis as the result's cached basis.  A saturation of
-a grevlex ideal I whose basis G is cached first reduces f by G.  A zero
-remainder means f is in I, and the saturation is the unit ideal.
-Otherwise one signature step runs for G + (f) (see saturate).  If it
-makes no reduction to zero, then I : f = I (Gao, Volny and Wang, 2016),
+A known basis is not computed twice, and no part of one that is not
+returned is finished.  An elimination finishes only the elements of the
+block-order basis that are free of the auxiliary variables, which are
+already the elimination ideal's basis, and under grevlex returns them as
+the result's cached basis; the block ideal's full reduced basis is never
+formed, nor cached on it.  A likelihood correspondence keeps the basis
+its construction ends with (see likelihood.LikelihoodIdeal).  A
+saturation of a grevlex ideal I whose basis G is cached first reduces f
+by G.  A zero remainder means f is in I, and the saturation is the unit
+ideal.  Otherwise one signature step runs for G + (f) (see saturate).  If
+it makes no reduction to zero, then I : f = I (Gao, Volny and Wang, 2016),
 the saturation is I, and G is returned as it stands: no auxiliary
 variable, no block order, no elimination.  Most saturations on the toric
 path are of this kind: the multiplier is already a nonzerodivisor.
@@ -572,7 +579,7 @@ def _interreduce(term_lists, pack: _Packing) -> _Reducers:
     return index
 
 
-def buchberger(ideal: Ideal) -> GroebnerBasis:
+def buchberger(ideal: Ideal, k: int = 0) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal in its ring's order.
 
     Deterministic and canonical: independent of generator order.  Two
@@ -581,6 +588,24 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     interreduces it once when the loop ends (_interreduce), so the
     returned basis is the same reduced one, ascending by leading term,
     whichever ran.
+
+    With k > 0 the ring's order must be block(k), and only the part of
+    the basis that ``eliminate`` returns is finished: the index elements
+    whose leading monomial is free of the first k variables are
+    interreduced and turned into polynomials, and the rest are dropped.
+    Under block(k) such an element has no term with those variables,
+    and by the elimination theorem (Cox, Little and O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 3 sec. 1) these elements already
+    form a Groebner basis of the elimination ideal.  The result is the
+    same as the auxiliary-free elements of the full reduced basis, in
+    the same order: a monomial free of the first k variables is divisible
+    only by monomials free of them, and under block(k) it lies below
+    every monomial that has one of them.  So _interreduce keeps the same
+    minimal leading terms, every element after them in ascending order
+    has an auxiliary variable, and each tail term is reduced by the same
+    reducer with the same scales.  The result is the reduced basis of
+    the ideal those elements generate in the ring, and is returned as
+    that ideal's basis, never as the input's: it is not cached on it.
 
     * When an input outside the known prefix has both a constant term
       and a term of degree one, the pair loop runs (_pair_loop):
@@ -620,6 +645,8 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     """
     ring = ideal.ring
     order = ring.order
+    if k and order != MonomialOrder.block(k):
+        raise ValueError(f"the part free of {k} variables needs block({k}), not {order.name}")
     pack = _packing(order, ring.nvars)
     known = ideal._known
     gens = ideal.generators[known:]
@@ -632,14 +659,15 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     )
     loop = _pair_loop if affine else _signature_loop
     loop(inputs, basis, pack)
-    reduced = _interreduce([t for _, _, t in basis.items], pack)
+    aux = (1 << _FIELD * k) - 1  # the packed fields of the first k variables
+    reduced = _interreduce([t for lt, _, t in basis.items if not lt & aux], pack)
     unpack = pack.unpack
     out = []
     for _, lc, t in reduced.items:
         out.append(
             Polynomial._raw(ring, tuple((unpack(m), Fraction(c, lc)) for _, m, c in t))
         )
-    gb = GroebnerBasis(ideal, out, order)
+    gb = GroebnerBasis(Ideal(ring, out) if k else ideal, out, order)
     gb._reducers = reduced
     return gb
 
@@ -916,16 +944,22 @@ def _ideal_leq(a: Ideal, b: Ideal) -> bool:
 def eliminate(ideal: Ideal, k: int) -> Ideal:
     """Intersect with the subring omitting the first k variables.
 
-    Computed with a block(k) order, whose tail is grevlex.  The result
-    lives in the restricted ring, whose order is the input ring's order
-    on the remaining variables.  Its generators always generate the
-    elimination ideal, but they form that ring's reduced basis only when
-    its order is grevlex, as when the input ring is grevlex or
-    block(k).  Under lex, say, they need not be monic or reduced.  When
-    they are that basis, the result carries it as its cached Groebner
-    basis, so its ``groebner()`` costs nothing and a later ``saturate``
-    can start from it.  An input already in the block(k) ring is used
-    as it stands, with any cached basis or known generators it has.
+    Computed with a block(k) order, whose tail is grevlex: buchberger
+    finishes only the basis elements free of the first k variables,
+    which are the elimination ideal's basis (see buchberger), and only
+    they are converted.  The result lives in the restricted ring, whose
+    order is the input ring's order on the remaining variables.  Its
+    generators always generate the elimination ideal, but they form that
+    ring's reduced basis only when its order is grevlex, as when the
+    input ring is grevlex or block(k).  block(k) restricted to monomials
+    free of the first k variables is grevlex, so then each element's
+    terms are already in the subring's order, and the result is built
+    there as it stands and carries them as its cached Groebner basis:
+    its ``groebner()`` costs nothing and a later ``saturate`` can start
+    from it.  Under lex, say, they are re-sorted, and need not be monic
+    or reduced.  An input already in the block(k) ring is used as it
+    stands, with any cached basis or known generators it has.  The
+    input's full basis is never computed, so none is cached on it.
     """
     ring = ideal.ring
     n = ring.nvars
@@ -936,16 +970,16 @@ def eliminate(ideal: Ideal, k: int) -> Ideal:
     block_ring = PolyRing(ring.variables, MonomialOrder.block(k))
     if ring != block_ring:
         ideal = Ideal(block_ring, [map_to_ring(g, block_ring) for g in ideal.generators])
-    gb = ideal.groebner()
-    zeros = (0,) * k
+    if ideal._gb is None:
+        basis = buchberger(ideal, k).basis
+    else:  # a full basis cached on a block(k) input
+        basis = [g for g in ideal._gb.basis if not any(g.terms[0][0][:k])]
     sub = PolyRing(ring.variables[k:], _restrict_order(ring.order, range(k, n)))
-    gens = []
-    for g in gb.basis:
-        if all(m[:k] == zeros for m, _ in g.terms):
-            gens.append(sub.poly([(m[k:], c) for m, c in g.terms]))
+    if sub.order != GREVLEX:
+        return Ideal(sub, [sub.poly([(m[k:], c) for m, c in g.terms]) for g in basis])
+    gens = [Polynomial._raw(sub, tuple((m[k:], c) for m, c in g.terms)) for g in basis]
     out = Ideal(sub, gens)
-    if sub.order == GREVLEX:
-        out._gb = GroebnerBasis(out, gens, GREVLEX)
+    out._gb = GroebnerBasis(out, gens, GREVLEX)
     return out
 
 

@@ -38,6 +38,7 @@ from collections import Counter
 from .errors import DegenerateFiberError, InputError, UnstableCountError
 from .exactmath import IntMatrix
 from .groebner import (
+    GroebnerBasis,
     Ideal,
     PolyMatrix,
     _eliminate_auxiliary,
@@ -71,17 +72,31 @@ class LikelihoodIdeal:
     eliminates one multiplier from a prime ideal that misses that
     product, which gives the same ideal with no saturation (see
     ``compute_lc_toric``).
+
+    The generators are the primitive integer forms of the ideal's
+    reduced grevlex basis.  Both constructions end with that basis in
+    hand and pass it as ``basis``, which is kept: ``ideal()`` returns an
+    Ideal over the generators with the basis cached, so its
+    ``groebner()``, and the ``ideal_contains``, ``ideal_equal`` or
+    ``krull_dimension`` work on it, recompute nothing.  Without
+    ``basis`` nothing is cached.
     """
 
-    __slots__ = ("ring", "generators", "mode")
+    __slots__ = ("ring", "generators", "mode", "_gb")
 
-    def __init__(self, ring: PolyRing, generators, mode: str):
+    def __init__(self, ring: PolyRing, generators, mode: str, basis=None):
         self.ring = ring
         self.generators = tuple(generators)
         self.mode = mode
+        self._gb = None
+        if basis is not None:
+            self._gb = GroebnerBasis(Ideal(ring, self.generators), basis, GREVLEX)
 
     def ideal(self) -> Ideal:
-        return Ideal(self.ring, self.generators)
+        """The correspondence as an Ideal over the generators, its basis cached when kept."""
+        if self._gb is None:
+            return Ideal(self.ring, self.generators)
+        return self._gb.ideal
 
     def __iter__(self):
         return iter(self.generators)
@@ -203,9 +218,9 @@ def compute_lc_toric(model, saturation: str = "hyperplane") -> LikelihoodIdeal:
             return _row_relations(a, lam[0].ring, lam[0], pu[n + 1 :])
 
         lc = _eliminate_auxiliary(ring, 1, build, ix.generators)
-    # both are the reduced basis in Q[p, u] under grevlex
-    out = tuple(g.primitive_part() for g in lc.generators)
-    return LikelihoodIdeal(ring, out, "toric")
+    # both carry the reduced basis in Q[p, u] under grevlex as their cached basis
+    basis = lc.groebner().basis
+    return LikelihoodIdeal(ring, (g.primitive_part() for g in basis), "toric", basis)
 
 
 def _is_unit(basis) -> bool:
@@ -321,10 +336,10 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
     def build(lam, pu):
         return _lagrange_relations(ideal, lam[0].ring, lam[0], lam[1:], pu[n1:])
 
-    # the elimination is the reduced basis in Q[p, u] under grevlex
+    # the elimination carries the reduced basis in Q[p, u] under grevlex
     elim = _eliminate_auxiliary(ring, len(ideal.generators) + 1, build, sat_p.generators)
-    out = tuple(g.primitive_part() for g in elim.generators)
-    return LikelihoodIdeal(ring, out, "lagrange")
+    basis = elim.groebner().basis
+    return LikelihoodIdeal(ring, (g.primitive_part() for g in basis), "lagrange", basis)
 
 
 def compute_lc(model_input, *, saturate_singular: bool = False) -> LikelihoodIdeal:

@@ -62,7 +62,7 @@ from algstat.groebner import (
     _primitive_terms,
     _signature_loop,
 )
-from algstat.ring import MAX_EXPONENT
+from algstat.ring import MAX_EXPONENT, _restrict_order
 
 
 def _ring(names, order=GREVLEX):
@@ -952,11 +952,11 @@ def _lagrange_eliminations(corpus):
     seen = []
     original = algstat.groebner.buchberger
 
-    def spy(ideal):
+    def spy(ideal, *args):
         seen.append(ideal)
         if "u_0" in ideal.ring.variables:  # the data: the multipliers' elimination
             raise _Eliminating
-        return original(ideal)
+        return original(ideal, *args)
 
     algstat.groebner.buchberger = spy
     try:
@@ -1028,9 +1028,9 @@ def test_the_loop_rule_chooses_the_loop(monkeypatch, hw_ideal):
         monkeypatch.setattr(algstat.groebner, name, spy)
     ideals = []
 
-    def spy_buchberger(ideal, original=algstat.groebner.buchberger):
+    def spy_buchberger(ideal, *args, original=algstat.groebner.buchberger):
         ideals.append(ideal)
-        return original(ideal)
+        return original(ideal, *args)
 
     monkeypatch.setattr(algstat.groebner, "buchberger", spy_buchberger)
     compute_lc_general(hw_ideal)
@@ -1315,9 +1315,9 @@ def _known_counts():
     seen = []
     original = algstat.groebner.buchberger
 
-    def spy(ideal):
+    def spy(ideal, *args):
         seen.append(ideal._known)
-        return original(ideal)
+        return original(ideal, *args)
 
     algstat.groebner.buchberger = spy
     try:
@@ -1381,6 +1381,82 @@ def test_eliminate_attaches_its_reduced_basis_under_grevlex(case, k):
     with _known_counts() as seen:
         assert out.groebner() is out._gb
     assert seen == []
+
+
+def _assert_elimination_is_the_auxiliary_free_part(ideal, k):
+    """eliminate(ideal, k), and the part of the block(k) basis that
+    buchberger finishes for it, are the elements of the full reduced
+    block(k) basis that are free of the first k variables, in order, as
+    the elimination took them before it finished only that part.  The
+    input's cached basis, or its lack of one, is left as it was, and a
+    cached basis is used instead of a buchberger call."""
+    ring = ideal.ring
+    block_ring = PolyRing(ring.variables, MonomialOrder.block(k))
+    block = Ideal(block_ring, [map_to_ring(g, block_ring) for g in ideal.generators])
+    if ring == block_ring:
+        block._known = ideal._known
+    free = [g for g in buchberger(block).basis if not any(g.leading_monomial()[:k])]
+    sub = PolyRing(ring.variables[k:], _restrict_order(ring.order, range(k, ring.nvars)))
+    cached = ideal._gb
+    calls = []
+    original = algstat.groebner.buchberger
+
+    def spy(ideal, *args):
+        gb = original(ideal, *args)
+        calls.append((args, list(gb.basis)))
+        return gb
+
+    algstat.groebner.buchberger = spy
+    try:
+        out = eliminate(ideal, k)
+    finally:
+        algstat.groebner.buchberger = original
+    assert calls == ([((k,), free)] if cached is None else [])
+    assert ideal._gb is cached
+    assert list(out.generators) == [sub.poly([(m[k:], c) for m, c in g.terms]) for g in free]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_grevlex_ideal_and_multiplier(), st.integers(1, 2))
+def test_eliminate_finishes_only_the_auxiliary_free_part(case, k):
+    # grevlex and lex inputs, whose block(k) ideal is made inside
+    # eliminate, and a saturation's I + (t*f - 1) built in the block(1)
+    # ring, first as it comes, then with its full basis cached
+    ideal, f = case
+    r = ideal.ring
+    k = min(k, r.nvars - 1)
+    lex = PolyRing(r.variables, LEX)
+    ext = PolyRing(("t",) + r.variables, MonomialOrder.block(1))
+    t = ext.gens()[0]
+    saturation = Ideal(
+        ext, [map_to_ring(g, ext) for g in ideal.generators] + [t * map_to_ring(f, ext) - 1]
+    )
+    _assert_elimination_is_the_auxiliary_free_part(ideal, k)
+    _assert_elimination_is_the_auxiliary_free_part(
+        Ideal(lex, [map_to_ring(g, lex) for g in ideal.generators]), k
+    )
+    _assert_elimination_is_the_auxiliary_free_part(saturation, 1)
+    assert saturation._gb is None
+    saturation.groebner()
+    _assert_elimination_is_the_auxiliary_free_part(saturation, 1)
+
+
+def test_eliminate_finishes_only_the_auxiliary_free_part_of_the_lagrange_systems(corpus):
+    # the multiplier eliminations of compute_lc_general on the corpus, in
+    # both generator orders
+    systems = [i for i in _lagrange_eliminations(corpus) if "u_0" in i.ring.variables]
+    assert len(systems) == 2 * len(corpus)
+    for ideal in systems:
+        assert ideal._gb is None
+        _assert_elimination_is_the_auxiliary_free_part(ideal, ideal.ring.order.block_size)
+
+
+def test_buchberger_finishes_a_part_only_under_its_block_order():
+    r = _ring(("t", "x", "y"))
+    with pytest.raises(ValueError, match="block\\(1\\)"):
+        buchberger(_ideal(r, "x - t^2", "y - t^3"), 1)
+    with pytest.raises(ValueError):
+        buchberger(_ideal(_ring(("t", "x", "y"), MonomialOrder.block(2)), "x - t^2"), 1)
 
 
 def _random_term_poly(r, rng, nterms, degree, homogeneous):

@@ -412,9 +412,8 @@ def test_correspondences_vanish_at_points_built_without_groebner_bases(corpus, h
     # makes sum u / sum p = mu, so p is critical for u.  Both construction
     # paths must vanish at both kinds of point, which catches an ideal too
     # large; its dimension n + 2 catches one too small.  On the large
-    # graphs only the toric path runs, and the dimension is left to the
-    # digests of test_large_graph_correspondences_are_pinned: recomputing
-    # the 4-chain correspondence's basis for it takes about 20 s.
+    # graphs only the toric path runs; their dimension is read off the
+    # basis the correspondence keeps, so no basis is recomputed for it.
     rng = random.Random(101)
     conic = IntMatrix([[1, 1, 1], [0, 1, 2]])
     models = [(name, a, toric_ideal(a), [1] * a.ncols, True) for name, a in corpus]
@@ -435,8 +434,34 @@ def test_correspondences_vanish_at_points_built_without_groebner_bases(corpus, h
         for lc in lcs:
             for point in points:
                 assert not any(_at(g, point) for g in lc.generators), (name, lc.mode)
-            if lagrange:
-                assert krull_dimension(lc.ideal().groebner()) == a.ncols + 1, (name, lc.mode)
+            assert krull_dimension(lc.ideal().groebner()) == a.ncols + 1, (name, lc.mode)
+
+
+def test_correspondences_keep_their_reduced_basis(corpus, hw_ideal, monkeypatch):
+    # both constructions, and the "full" reference, end with the reduced
+    # basis in hand; the LikelihoodIdeal keeps it, so groebner() on its
+    # ideal() runs no buchberger, and it is the basis buchberger computes
+    # from the generators
+    lcs = [compute_lc_general(hw_ideal)]
+    for _, a in corpus:
+        lcs += [compute_lc_toric(a), compute_lc_toric(a, "full")]
+        lcs.append(compute_lc_general(toric_ideal(a)))
+    calls = []
+    original = algstat.groebner.buchberger
+
+    def spy(ideal, *args):
+        calls.append(ideal)
+        return original(ideal, *args)
+
+    monkeypatch.setattr(algstat.groebner, "buchberger", spy)
+    for lc in lcs:
+        ideal = lc.ideal()
+        assert ideal.generators == lc.generators and ideal.ring == lc.ring
+        gb = ideal.groebner()
+        assert calls == [], lc
+        assert gb.basis == original(Ideal(lc.ring, lc.generators)).basis, lc
+    # a LikelihoodIdeal made without a basis caches none
+    assert LikelihoodIdeal(lc.ring, lc.generators, lc.mode).ideal()._gb is None
 
 
 # ---------------------------------------------------------------- dispatch
