@@ -45,7 +45,7 @@ leading term divides it.  The reducers sit in one index (_Reducers) that
 keeps, per variable, a bitset of the reducers whose leading term lacks
 that variable.  A reducer can divide a term only if its leading term's
 support lies in the term's, so the AND of those bitsets over the
-variables the term lacks gives the candidates, memoized per support.
+variables the term lacks gives the candidates, computed at each lookup.
 Only candidates get the divisibility test, lowest list position first,
 so the reducer chosen is the one a scan of the whole list would choose.
 The index only grows at its end: in buchberger, in either loop, it is
@@ -188,7 +188,7 @@ class GroebnerBasis:
         self.basis = tuple(basis)
         self.order = order
         # the basis as a kernel reducer index: buchberger hands over the
-        # one it reduced the basis with, else normal_form builds it
+        # one it reduced the basis with, else _index builds it
         self._reducers = None
 
     @property
@@ -197,6 +197,12 @@ class GroebnerBasis:
         ideal = Ideal(self.ring, self.generators)
         ideal._gb = self
         return ideal
+
+    def _index(self) -> "_Reducers":
+        """The basis as a kernel reducer index, in basis order (cached)."""
+        if self._reducers is None:
+            self._reducers = _divisors(self.basis, _packing(self.order, self.ring.nvars))
+        return self._reducers
 
     def __iter__(self):
         return iter(self.basis)
@@ -297,17 +303,16 @@ class _Reducers:
     _divide's multiplier lc / gcd(lc, c) of a dividend is too.
     ``miss[i]`` is a bitset over list positions whose bit r is set when
     reducer r's leading term does not involve variable i.  A reducer
-    divides a term only if its
-    leading term's support lies in the term's, so the candidates for a
-    term of support s are the AND of ``miss[i]`` over the variables s
-    lacks; ``candidates`` memoizes that bitset per support.  Reducers are
+    divides a term only if its leading term's support lies in the term's,
+    so the candidates for a term of support s are the AND of ``miss[i]``
+    over the variables s lacks, computed at each lookup.  Reducers are
     only appended, so a position and its bit never move; an append sets
-    the new reducer's bits and clears the memo.  Bit order is list order,
-    so walking a candidate bitset from its lowest bit keeps the first
-    match in list order.
+    the new reducer's bits.  Bit order is list order, so walking a
+    candidate bitset from its lowest bit keeps the first match in list
+    order.
     """
 
-    __slots__ = ("guard", "ones", "items", "sigs", "miss", "memo")
+    __slots__ = ("guard", "ones", "items", "sigs", "miss")
 
     def __init__(self, pack: _Packing, term_lists=()):
         self.guard = pack.guard
@@ -315,7 +320,6 @@ class _Reducers:
         self.items = []
         self.sigs = []
         self.miss = [0] * len(pack.weights)
-        self.memo = {}
         for t in term_lists:
             if t:
                 self.append(t)
@@ -341,24 +345,18 @@ class _Reducers:
             miss[i] |= bit
         self.items.append((lt, terms[0][2], terms))
         self.sigs.append(sig)
-        self.memo.clear()
 
     def candidates(self, s: int) -> int:
         """Bitset of the reducers whose leading term's support lies in support s."""
         cand = (1 << len(self.items)) - 1
         for m in itertools.compress(self.miss, self._absent(s)):
             cand &= m
-        self.memo[s] = cand
         return cand
 
     def divides(self, m: int, below: int) -> bool:
         """Whether the leading term of a reducer at a position below ``below``
         divides the packed monomial m; later reducers are ignored."""
-        s = (m + self.ones) & self.guard
-        cand = self.memo.get(s)
-        if cand is None:
-            cand = self.candidates(s)
-        cand &= (1 << below) - 1
+        cand = self.candidates((m + self.ones) & self.guard) & ((1 << below) - 1)
         items, guard = self.items, self.guard
         while cand:
             low = cand & -cand
@@ -468,7 +466,7 @@ def _divide(p, reducers: _Reducers, bound=None):
     scale = 1
     if not p:
         return rem, scale
-    guard, ones, items, memo = reducers.guard, reducers.ones, reducers.items, reducers.memo
+    guard, ones, items = reducers.guard, reducers.ones, reducers.items
     candidates, sigs = reducers.candidates, reducers.sigs
     streams = [[p, 0, 0, 0, 1]]  # [terms, position, exponent shift, -key shift, coefficient]
     heap = [-p[0][0]]  # negated keys, each once
@@ -494,10 +492,7 @@ def _divide(p, reducers: _Reducers, bound=None):
         lm = t[1] + ms
         if lm & guard:
             raise GuardrailError(f"an exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
-        support = (lm + ones) & guard
-        cand = memo.get(support)
-        if cand is None:
-            cand = candidates(support)
+        cand = candidates((lm + ones) & guard)
         while cand:
             low = cand & -cand
             r = low.bit_length() - 1
@@ -884,9 +879,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     if isinstance(basis, GroebnerBasis):
         if basis.ring != ring:
             raise ValueError("Groebner basis lives in a different ring")
-        if basis._reducers is None:
-            basis._reducers = _divisors(basis.basis, pack)
-        reducers = basis._reducers
+        reducers = basis._index()
     else:
         basis = list(basis)
         if any(g.ring != ring for g in basis):
@@ -1072,14 +1065,12 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
         raise ValueError("cannot saturate by the zero polynomial")
     gb = ideal._gb if ring.order == GREVLEX else None
     if gb is not None:
-        pack = _packing(GREVLEX, ring.nvars)
-        if gb._reducers is None:
-            gb._reducers = _divisors(gb.basis, pack)
-        r = _reduce_full(_primitive_terms(f, pack), gb._reducers)
+        reducers = gb._index()
+        r = _reduce_full(_primitive_terms(f, _packing(GREVLEX, ring.nvars)), reducers)
         if not r or _colon_is_trivial(gb, r):
             out = Ideal(ring, gb.basis if r else [ring.one()])
             out._gb = GroebnerBasis(out, out.generators, GREVLEX)
-            out._gb._reducers = gb._reducers if r else None
+            out._gb._reducers = reducers if r else None
             return out
 
     def build(aux, _):
@@ -1102,7 +1093,7 @@ def _colon_is_trivial(gb: GroebnerBasis, r) -> bool:
     the basis's own index, which normal_form scans, stays as it is.
     """
     pack = _packing(gb.order, gb.ring.nvars)
-    index = _Reducers(pack, [t for _, _, t in gb._reducers.items])
+    index = _Reducers(pack, [t for _, _, t in gb._index().items])
     return _signature_step(r, index, pack, stop=True)
 
 

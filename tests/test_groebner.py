@@ -282,17 +282,16 @@ def test_divide_empty_dividend():
 
 
 def test_reducer_index_insert_finds_the_new_reducer_for_a_known_support():
-    # Dividing by x^2 - z memoizes the candidates of x*y's support {x, y}.
+    # Dividing by x^2 - z looks up the candidates of x*y's support {x, y}.
     # y - z, appended after it, has support {y}, which lies in it: the
-    # lookup must see it, though _interreduce would later repair a basis
-    # built from a stale memo.
+    # next lookup must see it, though _interreduce would later repair a
+    # basis built from stale candidates.
     r = _ring(("x", "y", "z"))
     x, y, z = r.gens()
     pack = _packing(GREVLEX, 3)
     f = x**2 + x * y + z
     index = _divisors([x**2 - z], pack)
     assert r.poly(list(_index_divide(f, index)[0])) == x * y + 2 * z
-    assert index.memo
     index.append(_int_terms(y - z, pack)[0])
     rem = _index_divide(f, index)[0]
     assert rem == _oracle_remainder(f, [x**2 - z, y - z], GREVLEX)
@@ -349,9 +348,9 @@ def test_reducer_index_divides_only_below_a_position():
 def test_reducer_index_divides_agrees_with_a_scan_below_each_position():
     # divides(m, below) makes every F5 decision of a signature step: it
     # must answer as a scan of the leading terms below ``below`` does,
-    # from a fresh memo after each append and from the memo it filled
+    # between appends as the index grows
     rng = random.Random(163)
-    seen = {"divisible": 0, "not divisible": 0, "memo hit": 0}
+    seen = {"divisible": 0, "not divisible": 0}
     for order in (LEX, GREVLEX, MonomialOrder.block(1)):
         for _ in range(6):
             n = rng.randint(2, 6)
@@ -368,12 +367,10 @@ def test_reducer_index_divides_agrees_with_a_scan_below_each_position():
                     continue
                 index.append([(pack.key(h), pack.exps(h), 1)])
                 heads.append(h)
-                assert not index.memo
                 for _ in range(20):
                     m = monomial(4)
                     below = rng.randint(0, len(heads))
                     packed = pack.exps(m)
-                    seen["memo hit"] += ((packed + pack.ones) & pack.guard) in index.memo
                     expected = any(all(map(le, h, m)) for h in heads[:below])
                     assert index.divides(packed, below) == expected, (order.name, heads, m, below)
                     seen["divisible" if expected else "not divisible"] += 1
@@ -391,11 +388,19 @@ def _sparse_poly(ring, rng, nterms, maxdeg):
     return ring.poly(terms)
 
 
-def test_normal_form_matches_division_oracle_at_index_scale():
+def test_normal_form_matches_division_oracle_at_index_scale(monkeypatch):
     # 10-30 sparse divisors in 6-8 variables, in random list order: their
     # leading terms' supports differ, so the support index filters most
     # reducers out of each scan, and the first match must still be the
-    # oracle's.
+    # oracle's.  The spy keeps each support looked up and its candidates.
+    looked_up = {}
+    candidates = _Reducers.candidates
+
+    def spy(index, s):
+        looked_up[s] = candidates(index, s)
+        return looked_up[s]
+
+    monkeypatch.setattr(_Reducers, "candidates", spy)
     rng = random.Random(83)
     orders = [LEX, GREVLEX, MonomialOrder.block(1), MonomialOrder.block(2)]
     filtered = 0
@@ -411,15 +416,17 @@ def test_normal_form_matches_division_oracle_at_index_scale():
             rem = normal_form(f, divisors).terms
             assert rem == _oracle_remainder(f, divisors, order)
             index = _divisors(divisors, _packing(order, r.nvars))
+            looked_up.clear()
             assert _index_divide(f, index)[0] == rem
-            filtered += sum(c.bit_count() < len(index) for c in index.memo.values())
+            filtered += sum(c.bit_count() < len(index) for c in looked_up.values())
     assert filtered >= 200
 
 
 def test_reducer_index_appends_between_divisions():
     # One index grows by appends while it divides, as in buchberger: after
     # each append the kernel must agree with the oracle over the divisors
-    # so far, in list order, though the memo was filled before the append.
+    # so far, in list order, though it looked up the same supports before
+    # the append.
     rng = random.Random(89)
     orders = [LEX, GREVLEX, MonomialOrder.block(1), MonomialOrder.block(2)]
     for _ in range(3):
