@@ -307,7 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ml-degree", help="maximum-likelihood degree of a model")
     _add_common(p, ("ideal", "matrix", "model"))
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument(
+        "--trials",
+        type=int,
+        default=3,
+        help="most random data vectors to count over; the vote stops as soon as "
+        "its most common count is decided (default 3)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--range", default="1:1000", metavar="LO:HI")
 

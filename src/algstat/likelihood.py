@@ -422,6 +422,28 @@ def _fiber_count(fiber: Ideal, data) -> int:
         ) from None
 
 
+def _modal_count(trials: int, count) -> int:
+    """The most common of count(0), ..., count(trials - 1), the smallest on a tie.
+
+    Trials run in order, and stop once no remaining trial can change the
+    result: when the top frequency f exceeds the R trials left plus the
+    runner-up's frequency g (0 if none).  Then no count, seen or unseen,
+    can reach f, so the top count wins the full vote; and a stop with
+    R >= 1 has f >= 2, so the counts could not all have differed.  More
+    than one trial with every count distinct raises UnstableCountError.
+    """
+    counts = []
+    for t in range(trials):
+        counts.append(count(t))
+        freq = Counter(counts)
+        top, runner_up = (sorted(freq.values(), reverse=True) + [0])[:2]
+        if top > trials - len(counts) + runner_up:
+            break
+    if trials > 1 and top == 1:
+        raise UnstableCountError(f"unstable generic count: trials gave {counts}")
+    return min(v for v, c in freq.items() if c == top)
+
+
 def ml_degree(model_input, trials: int = 3, seed: int = 0, u_range=(1, 1000)) -> int:
     """Maximum-likelihood degree: the number of critical points for generic data.
 
@@ -471,9 +493,16 @@ def ml_degree(model_input, trials: int = 3, seed: int = 0, u_range=(1, 1000)) ->
       a closure, so its fiber can hold points on the coordinate
       hyperplanes; this route alone saturates.
 
-    The modal count across trials is returned; all-distinct counts raise
-    UnstableCountError, a non-finite fiber DegenerateFiberError.
+    The modal count across trials is returned, the smallest on a tie;
+    ``trials`` is the most trials that run, and the vote stops as soon as
+    its most common count is decided (see ``_modal_count``).  All-distinct
+    counts raise UnstableCountError, and a non-finite fiber
+    DegenerateFiberError; a trial that never runs raises nothing, so that
+    error comes only from a trial that ran.
     """
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputError(f"{name} must be an integer")
     if trials < 1:
         raise ValueError("need at least one trial")
     lo, hi = u_range
@@ -482,13 +511,10 @@ def ml_degree(model_input, trials: int = 3, seed: int = 0, u_range=(1, 1000)) ->
     if hi - lo + 1 > 1 << 64:
         raise InputError(f"u_range [{lo}, {hi}] holds more than 2^64 integers")
     n1, fiber = _fibers(model_input)
-    counts = []
-    for t in range(trials):
+
+    def count(t):
         rng = SplitMix64(derive_seed(seed, t))
         data = [rng.next_int(lo, hi) for _ in range(n1)]
-        counts.append(_fiber_count(fiber(data), data))
-    if trials > 1 and len(set(counts)) == trials:
-        raise UnstableCountError(f"unstable generic count: trials gave {counts}")
-    freq = Counter(counts)
-    best = max(freq.values())
-    return min(v for v, c in freq.items() if c == best)
+        return _fiber_count(fiber(data), data)
+
+    return _modal_count(trials, count)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -39,6 +40,7 @@ from algstat import (
     toric_ideal,
     toric_model,
 )
+from algstat.likelihood import _modal_count
 
 HW_LC_GENERATORS = [
     "4*p_2*u_0 - p_1*u_1 + 2*p_2*u_1 - 2*p_1*u_2",
@@ -538,7 +540,11 @@ def test_ml_degree_accepts_precomputed(hw_ideal):
     assert ml_degree(lc) == 1
 
 
-def test_ml_degree_trials_and_range_validation(hw_ideal):
+def _no_fibers(model_input):
+    raise AssertionError("a fiber was built before the arguments were checked")
+
+
+def test_ml_degree_trials_and_range_validation(monkeypatch, hw_ideal):
     with pytest.raises(ValueError):
         ml_degree(hw_ideal, trials=0)
     with pytest.raises(InputError):
@@ -549,6 +555,16 @@ def test_ml_degree_trials_and_range_validation(hw_ideal):
         ml_degree(hw_ideal, u_range=(1, "big"))
     with pytest.raises(TypeError):
         ml_degree("not a model")
+    # a trial count or seed that is not an int (a bool included) is refused
+    # before any fiber is built
+    with monkeypatch.context() as patch:
+        patch.setattr(algstat.likelihood, "_fibers", _no_fibers)
+        for bad in (2.5, True, "3", None):
+            with pytest.raises(InputError, match="trials"):
+                ml_degree(hw_ideal, trials=bad)
+        for bad in (1.5, False, "0"):
+            with pytest.raises(InputError, match="seed"):
+                ml_degree(hw_ideal, seed=bad)
     assert ml_degree(hw_ideal, trials=1, u_range=(5, 5)) == 1
 
 
@@ -599,6 +615,70 @@ def test_ml_degree_tie_takes_smallest(monkeypatch, hw_ideal):
         algstat.likelihood, "quotient_dimension", lambda gb: next(fake)
     )
     assert ml_degree(lc, trials=4) == 1
+
+
+def _full_vote(counts):
+    """The vote over every trial: the modal count, the smallest on a tie."""
+    if len(counts) > 1 and len(set(counts)) == len(counts):
+        raise UnstableCountError(f"all counts differ: {counts}")
+    freq = Counter(counts)
+    best = max(freq.values())
+    return min(v for v, c in freq.items() if c == best)
+
+
+def _counting_spy(counts):
+    ran = []
+
+    def count(t):
+        ran.append(t)
+        return counts[t]
+
+    return count, ran
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+@example([2, 5, 2])
+@example([4, 1, 1, 4])
+@example([1, 2, 3])
+@example([3, 3, 0, 0, 0])
+def test_modal_count_equals_the_full_vote(counts):
+    count, ran = _counting_spy(counts)
+    try:
+        expected = _full_vote(counts)
+    except UnstableCountError:
+        with pytest.raises(UnstableCountError):
+            _modal_count(len(counts), count)
+        assert ran == list(range(len(counts)))
+    else:
+        assert _modal_count(len(counts), count) == expected
+        assert ran == list(range(len(ran)))
+
+
+@pytest.mark.parametrize("counts, runs", [
+    ([3, 3, 0], 2),
+    ([2, 5, 2], 3),
+    ([4, 1, 1, 4], 4),
+    ([7], 1),
+])
+def test_modal_count_runs_only_the_trials_that_can_matter(counts, runs):
+    count, ran = _counting_spy(counts)
+    assert _modal_count(len(counts), count) == _full_vote(counts)
+    assert ran == list(range(runs))
+
+
+def test_ml_degree_stops_once_two_trials_agree(monkeypatch, hw_ideal):
+    lc = compute_lc(hw_ideal)
+    calls = []
+    quotient_dimension = algstat.likelihood.quotient_dimension
+
+    def spy(gb):
+        calls.append(gb)
+        return quotient_dimension(gb)
+
+    monkeypatch.setattr(algstat.likelihood, "quotient_dimension", spy)
+    assert ml_degree(lc) == 1
+    assert len(calls) == 2
 
 
 # -------------------------------------------------------------- symmetries
