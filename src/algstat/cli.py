@@ -143,35 +143,18 @@ def _format_result(result, fmt: str, key: str | None = None) -> str:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise InputError(f"range must look like LO:HI, got {text!r}")
     try:
-        lo, hi = int(parts[0]), int(parts[1])
+        lo, hi = map(int, text.split(":"))
     except ValueError:
-        raise InputError(f"range bounds must be integers, got {text!r}") from None
-    if lo < 1:
-        raise InputError("range low bound must be at least 1 (data must stay positive)")
-    if hi < lo:
-        raise InputError(f"empty range {text!r}")
+        raise InputError(f"range must look like LO:HI with integer bounds, got {text!r}") from None
     return lo, hi
 
 
 def _parse_blocks(text: str) -> tuple[int, ...]:
     try:
-        blocks = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise InputError(f"blocks must be comma-separated integers, got {text!r}") from None
-    if not blocks or any(b < 1 for b in blocks):
-        raise InputError("block lengths must be positive")
-    return blocks
-
-
-def _parse_pmf(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(tok) for tok in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"pmf must be comma-separated rationals, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +213,14 @@ def _cmd_groebner(args) -> str:
 
 
 def _cmd_drv(args) -> str:
-    pmf = _parse_pmf(args.pmf) if args.pmf is not None else None
-    try:
-        variable = DiscreteRandomVariable(args.arity, pmf)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    pmf = args.pmf.split(",") if args.pmf is not None else None
+    variable = DiscreteRandomVariable(args.arity, pmf)
     if args.action == "states":
         return _format_result(variable.states(), args.format, "states")
     if args.action == "mean":
         return _format_result(variable.mean(), args.format, "mean")
     if args.n is None:
         raise InputError("drv sample needs --n")
-    if args.n < 0:
-        raise InputError("sample size must be nonnegative")
     return _format_result(variable.sample(args.n, args.seed), args.format, "sample")
 
 

@@ -13,13 +13,11 @@ ignored.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index as _as_int
 
 from .errors import InputError
 
 __all__ = [
-    "Rational",
     "IntMatrix",
     "hnf",
     "integer_kernel",
@@ -28,9 +26,6 @@ __all__ = [
     "parse_int_matrix",
     "format_int_matrix",
 ]
-
-# The exact scalar types used throughout the package.
-Rational = Fraction
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

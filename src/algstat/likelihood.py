@@ -507,9 +507,9 @@ def ml_degree(model_input, trials: int = 3, seed: int = 0, u_range=(1, 1000)) ->
         raise ValueError("need at least one trial")
     lo, hi = u_range
     if not (isinstance(lo, int) and isinstance(hi, int)) or lo < 1 or hi < lo:
-        raise InputError("u_range must be integers 1 <= lo <= hi")
+        raise InputError(f"data range (u_range, --range) must be integers 1 <= LO <= HI, got {lo!r}:{hi!r}")
     if hi - lo + 1 > 1 << 64:
-        raise InputError(f"u_range [{lo}, {hi}] holds more than 2^64 integers")
+        raise InputError(f"data range {lo}:{hi} holds more than 2^64 integers")
     n1, fiber = _fibers(model_input)
 
     def count(t):

@@ -12,8 +12,9 @@ Model JSON (used by the CLI)::
 
 ``generators`` (a list of name lists) is accepted in place of
 ``edges`` to describe a log-linear model directly.  pmf entries may be
-rational strings, decimal strings, or numbers; decimals are read as
-exact fractions.
+rational strings, decimal strings, or numbers, but not booleans;
+decimals are read as exact fractions, and a zero denominator is an
+error.
 """
 
 from __future__ import annotations
@@ -74,15 +75,21 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
+    """Read one probability exactly: the one reader of rationals from user input.
+
+    Fractions and ints pass; a float is read as the decimal it prints
+    as, not the binary value underneath; a string must be a rational or
+    a decimal.  Booleans and zero denominators are refused.
+    """
+    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
-        # read the decimal as written, not the binary float underneath
-        return Fraction(str(value))
+        value = str(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ValueError(f"cannot read {value!r} as an exact rational")
 
 
@@ -206,9 +213,6 @@ class ModelGraph:
             adj[index[a]].add(index[b])
             adj[index[b]].add(index[a])
         return adj
-
-    def maximal_cliques(self) -> list[tuple[DiscreteRandomVariable, ...]]:
-        return maximal_cliques(self)
 
     def __repr__(self):
         return f"ModelGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"

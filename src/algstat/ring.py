@@ -37,7 +37,6 @@ __all__ = [
     "GREVLEX",
     "PolyRing",
     "Polynomial",
-    "compare_monomials",
     "parse_polynomial",
     "print_polynomial",
     "map_to_ring",
@@ -64,14 +63,6 @@ class MonomialOrder:
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialOrder is immutable")
-
-    @classmethod
-    def lex(cls) -> "MonomialOrder":
-        return LEX
-
-    @classmethod
-    def grevlex(cls) -> "MonomialOrder":
-        return GREVLEX
 
     @classmethod
     def block(cls, k: int) -> "MonomialOrder":
@@ -130,10 +121,6 @@ class MonomialOrder:
 
 LEX = MonomialOrder("lex")
 GREVLEX = MonomialOrder("grevlex")
-
-
-def compare_monomials(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
-    return order.compare(tuple(a), tuple(b))
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:_[0-9]+)?\Z")
@@ -637,7 +624,11 @@ class _Parser:
             if tok is None or tok.kind != "*":
                 return p
             self._next()
-            p = p * self._factor()
+            f = self._factor()
+            try:
+                p = p * f
+            except ValueError:
+                self._error("exponent of the product too large", tok)
 
     def _factor(self) -> Polynomial:
         tok = self._peek()

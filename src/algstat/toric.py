@@ -69,7 +69,7 @@ def _ones_in_row_span(m: IntMatrix) -> bool:
     return _rank(stacked) == _rank(m)
 
 
-def toric_model(source, provenance: str | None = None) -> ToricModel:
+def toric_model(source) -> ToricModel:
     """Build a ToricModel from an integer matrix or a ModelGraph.
 
     Matrices missing the ones vector in their rational row span are
@@ -78,7 +78,7 @@ def toric_model(source, provenance: str | None = None) -> ToricModel:
     if isinstance(source, ModelGraph):
         cliques = maximal_cliques(source)
         matrix = make_loglinear_matrix(cliques, list(source.vertices))
-        return ToricModel(matrix, provenance or "graph", homogenized=False)
+        return ToricModel(matrix, "graph")
     if isinstance(source, ToricModel):
         return source
     if not isinstance(source, IntMatrix):
@@ -88,13 +88,9 @@ def toric_model(source, provenance: str | None = None) -> ToricModel:
     if any(e < 0 for row in source.entries for e in row):
         raise ValueError("toric model matrices must be nonnegative")
     if _ones_in_row_span(source):
-        return ToricModel(source, provenance or "matrix", homogenized=False)
+        return ToricModel(source)
     ones = (1,) * source.ncols
-    return ToricModel(
-        IntMatrix((ones,) + source.entries, cols=source.ncols),
-        provenance or "matrix",
-        homogenized=True,
-    )
+    return ToricModel(IntMatrix((ones,) + source.entries, cols=source.ncols), homogenized=True)
 
 
 def _binomial_from_kernel_row(ring: PolyRing, row) -> Polynomial:
@@ -103,16 +99,15 @@ def _binomial_from_kernel_row(ring: PolyRing, row) -> Polynomial:
     return ring.poly([(plus, 1), (minus, -1)])
 
 
-def toric_ideal(source, ring: PolyRing | None = None) -> Ideal:
-    """The toric ideal of the model presented by ``source``.
+def toric_ideal(source) -> Ideal:
+    """The toric ideal of the model presented by ``source``, in Q[p_0..p_n], grevlex.
 
     Computed as the lattice ideal of an integer kernel basis of A,
-    saturated at all coordinates, in grevlex on the ring's variables:
-    the order in which saturate starts from a known basis.  When the
-    saturation adds nothing, the kernel binomials themselves are the
-    generators; otherwise the saturation's reduced grevlex basis is.
-    Either is then put in ``ring``, an optional ring with one variable
-    per column (default Q[p_0..p_n], grevlex).
+    saturated at all coordinates, in grevlex: the order in which
+    saturate starts from a known basis.  When the saturation adds
+    nothing, the kernel binomials themselves are the generators;
+    otherwise the saturation's reduced grevlex basis is.  ``map_to_ring``
+    puts the result in a ring with other names or another order.
 
     The saturation's generators are the lattice ideal's reduced basis G
     exactly when it adds nothing: a trivial step returns G as it stands,
@@ -120,21 +115,15 @@ def toric_ideal(source, ring: PolyRing | None = None) -> Ideal:
     basis is not G.  So comparing with G needs no membership test.
     """
     model = toric_model(source)
-    a = model.matrix
-    if ring is None:
-        ring = model.ring()
-    elif ring.nvars != a.ncols:
-        raise ValueError(f"ring has {ring.nvars} variables for {a.ncols} columns")
-    kernel = integer_kernel(a)
+    ring = model.ring()
+    kernel = integer_kernel(model.matrix)
     if kernel.nrows == 0:
         return Ideal(ring, ())
-    work = PolyRing(ring.variables, GREVLEX)
-    lattice = Ideal(work, [_binomial_from_kernel_row(work, r) for r in kernel.entries])
+    lattice = Ideal(ring, [_binomial_from_kernel_row(ring, r) for r in kernel.entries])
     gb = lattice.groebner()  # the saturation starts from it
-    sat = saturate_by_product(lattice, work.gens())
+    sat = saturate_by_product(lattice, ring.gens())
     gens = lattice.generators if sat.generators == gb.basis else sat.generators
-    # the same variables in the same places, so only the order changes
-    return Ideal(ring, [ring.poly(g.terms).primitive_part() for g in gens])
+    return Ideal(ring, [g.primitive_part() for g in gens])
 
 
 def toric_polytope(ideal: Ideal) -> IntMatrix:

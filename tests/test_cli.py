@@ -415,16 +415,20 @@ def test_malformed_model_fields_exit_one(capsys, fields):
     '{"name": ["a"], "arity": 2}',
     '{"name": null, "arity": 2}',
     '{"name": "a", "arity": true}',
+    '{"name": "a", "arity": 2, "pmf": [true, false]}',
+    '{"name": "a", "arity": 2, "pmf": ["1/0", "1"]}',
 ])
 def test_malformed_model_variable_exits_one(capsys, variable):
     # each of these once printed a matrix for a variable named ['a'] or
-    # None, or of arity True
+    # None, of arity True or with pmf (1, 0) read from booleans; a zero
+    # denominator escaped as a ZeroDivisionError
     model = '{"variables": [' + variable + '], "edges": []}'
     code, out, err = _run(capsys, "loglinear-matrix", "--model", model, "--inline")
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_model_variable_names_are_free_but_the_data(capsys):
@@ -472,7 +476,10 @@ def test_bad_range_exits_one(capsys, hw_file):
     assert code == 1
     code, _, err = _run(capsys, "ml-degree", hw_file, "--range", "9:2")
     assert code == 1
+    assert "data range" in err
     code, _, err = _run(capsys, "ml-degree", hw_file, "--range", "abc")
+    assert code == 1
+    code, _, err = _run(capsys, "ml-degree", hw_file, "--range", "1:2:3")
     assert code == 1
     # wider than 2^64: once looped forever in the rejection sampler
     code, _, err = _run(capsys, "ml-degree", hw_file, "--range", f"1:{10 ** 23}")
@@ -490,13 +497,16 @@ def test_bad_blocks_exit_one(capsys):
 def test_drv_sample_requires_n(capsys):
     code, _, err = _run(capsys, "drv", "sample", "--arity", "2")
     assert code == 1
+    code, out, err = _run(capsys, "drv", "sample", "--arity", "2", "--n", "-1")
+    assert (code, out) == (1, "")
+    assert "nonnegative" in err
 
 
 def test_drv_bad_pmf_exits_one(capsys):
-    code, _, err = _run(
-        capsys, "drv", "mean", "--arity", "2", "--pmf", "1/2,1/3"
-    )
-    assert code == 1
+    for pmf in ("1/2,1/3", "1/0,1", "x,1", "1/2,,1/2"):
+        code, out, err = _run(capsys, "drv", "mean", "--arity", "2", "--pmf", pmf)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
 
 
 def test_guardrail_exits_two(capsys, monkeypatch, hw_file):

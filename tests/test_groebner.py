@@ -478,6 +478,8 @@ def test_s_polynomial():
     f = parse_polynomial("x^2 - y", r)
     g = parse_polynomial("x*y - 1", r)
     assert s_polynomial(f, g) == parse_polynomial("-y^2 + x", r)
+    with pytest.raises(ValueError):
+        s_polynomial(f, map_to_ring(g, _ring(("x", "y"), LEX)))
 
 
 def test_s_polynomial_rejects_zero():
@@ -596,6 +598,8 @@ def test_membership_via_normal_form():
     assert ideal_contains(i, parse_polynomial("y^3 - z^2", r))
     assert not ideal_contains(i, parse_polynomial("x - 1", r))
     assert ideal_contains(i, r.zero())
+    with pytest.raises(ValueError):
+        ideal_contains(i, _ring(("x", "y")).gen(0))
 
 
 def test_ideal_equal():
@@ -1857,6 +1861,12 @@ def test_parse_ideal_text_errors():
     with pytest.raises(InputError) as exc:
         parse_ideal_text("ring x y\nx +\n")
     assert "line" in str(exc.value)
+    for text in ("", "ring p_0..q_2\n", "ring p_2..p_0\n", "ring x x\n"):
+        with pytest.raises(ParseError):
+            parse_ideal_text(text)
+    with pytest.raises(ParseError) as exc:
+        parse_ideal_text("ring x y\nx^9223372036854775807*x\n")
+    assert exc.value.line == 2
 
 
 def test_parse_ideal_text_error_names_one_location():

@@ -115,6 +115,9 @@ def test_drv_validation():
         DiscreteRandomVariable(3, [Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(ValueError):
         DiscreteRandomVariable(2, {1: Fraction(1, 2), 5: Fraction(1, 2)})
+    for pmf in (["1/0", "1"], [True, False], ["x", "1"], [[1], 0]):
+        with pytest.raises(ValueError):
+            DiscreteRandomVariable(2, pmf)
 
 
 def test_drv_sample_deterministic():
@@ -259,6 +262,19 @@ def test_parse_model_json_pmf():
     }"""
     g = parse_model_json(text)
     assert g.vertices[0].pmf == (Fraction(1, 3), Fraction(2, 3))
+
+    def pmf(entries):
+        model = '{"variables": [{"name": "a", "arity": 2, "pmf": ' + entries + '}], "edges": []}'
+        return parse_model_json(model).vertices[0].pmf
+
+    # decimals, as strings or numbers, are read as written
+    assert pmf('["0.1", 0.9]') == (Fraction(1, 10), Fraction(9, 10))
+    assert pmf('[0, 1]') == (Fraction(0), Fraction(1))
+    # a zero denominator once escaped as a ZeroDivisionError, and booleans
+    # were read as 1 and 0
+    for entries in ('["1/0", "1"]', '[true, false]', '["x", "1"]'):
+        with pytest.raises(InputError):
+            pmf(entries)
 
 
 def test_parse_model_json_errors():

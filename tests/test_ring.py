@@ -476,14 +476,19 @@ def test_parse_error_reports_position():
 
 def test_parse_rejects_trailing_junk():
     r = PolyRing(("x",), GREVLEX)
-    with pytest.raises(ParseError):
-        parse_polynomial("x )", r)
+    for text in ("x )", "(x", "x + *", "x $ 1", "1/x", "1/0", "x^-1"):
+        with pytest.raises(ParseError):
+            parse_polynomial(text, r)
 
 
 def test_parse_rejects_huge_exponent():
     r = PolyRing(("x",), GREVLEX)
     with pytest.raises(ParseError):
         parse_polynomial("x^9223372036854775808", r)
+    # each factor fits a machine word, their product does not
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial("x^9223372036854775807*x", r)
+    assert exc.value.column == len("x^9223372036854775807") + 1  # the '*'
 
 
 def test_print_formatting():

@@ -99,17 +99,6 @@ def test_toric_ideal_conic(rnc2_matrix):
     assert [print_polynomial(g) for g in i.generators] == ["p_1^2 - p_0*p_2"]
 
 
-def test_toric_ideal_in_a_ring_with_any_names(rnc3_matrix):
-    # its saturations add a variable with a fresh name: t, t_0 and t1_0
-    # are the first names they try
-    r = PolyRing(("t", "t_0", "t1_0", "x"), GREVLEX)
-    i = toric_ideal(rnc3_matrix, ring=r)
-    assert i.ring == r
-    rename = dict(zip(("p_0", "p_1", "p_2", "p_3"), r.variables))
-    expect = [map_to_ring(g, r, rename) for g in toric_ideal(rnc3_matrix).generators]
-    assert list(i.generators) == expect
-
-
 def test_toric_ideal_of_full_space_is_zero(p2_matrix):
     i = toric_ideal(p2_matrix)
     assert i.generators == ()
@@ -125,19 +114,6 @@ def test_toric_ideal_binary_chain(chain3_matrix):
     i = toric_ideal(chain3_matrix)
     expect = _ideal(i.ring, "p_1*p_4 - p_0*p_5", "p_3*p_6 - p_2*p_7")
     assert ideal_equal(i, expect)
-
-
-def test_toric_ideal_into_supplied_ring(rnc2_matrix):
-    r = PolyRing(("q_0", "q_1", "q_2"), GREVLEX)
-    i = toric_ideal(rnc2_matrix, ring=r)
-    assert i.ring is r
-    assert [print_polynomial(g) for g in i.generators] == ["q_1^2 - q_0*q_2"]
-
-
-def test_toric_ideal_ring_size_must_match(rnc2_matrix):
-    r = PolyRing(("q_0", "q_1"), GREVLEX)
-    with pytest.raises(ValueError):
-        toric_ideal(rnc2_matrix, ring=r)
 
 
 def test_toric_ideal_generators_are_homogeneous_binomials(corpus):
@@ -187,6 +163,11 @@ def test_toric_ideal_random_matrices():
                     sum(r * e for r, e in zip(row, mb))
 
 
+def _toric_ideal_in(matrix, ring):
+    """toric_ideal's generators put in ring by map_to_ring and made primitive."""
+    return [map_to_ring(g, ring).primitive_part() for g in toric_ideal(matrix).generators]
+
+
 def _toric_output_rule(matrix, ring):
     """toric_ideal's output, written out: the kernel binomials when their
     ideal is already saturated at the coordinates, else the saturation's
@@ -218,9 +199,7 @@ def test_toric_ideal_output_rule_under_every_order(order):
         matrix = IntMatrix([[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)])
         ring = PolyRing([f"p_{i}" for i in range(toric_model(matrix).ncols)], order)
         expect, saturated = _toric_output_rule(matrix, ring)
-        i = toric_ideal(matrix, ring=ring)
-        assert i.ring == ring
-        assert list(i.generators) == expect, matrix
+        assert _toric_ideal_in(matrix, ring) == expect, matrix
         kept += saturated
     assert 0 < kept < 40  # both halves of the rule ran
 
@@ -232,12 +211,12 @@ def test_toric_ideal_keeps_kernel_binomials_only_when_saturated(order, rnc3_matr
     ring = PolyRing([f"p_{i}" for i in range(4)], order)
     expect, kept = _toric_output_rule(rnc3_matrix, ring)
     assert not kept and len(expect) == 3
-    assert list(toric_ideal(rnc3_matrix, ring=ring).generators) == expect
+    assert _toric_ideal_in(rnc3_matrix, ring) == expect
     # the binary 3-chain's kernel binomials generate its toric ideal
     ring = PolyRing([f"p_{i}" for i in range(8)], order)
     expect, kept = _toric_output_rule(chain3_matrix, ring)
     assert kept and len(expect) == integer_kernel(chain3_matrix).nrows
-    assert list(toric_ideal(chain3_matrix, ring=ring).generators) == expect
+    assert _toric_ideal_in(chain3_matrix, ring) == expect
 
 
 # ---------------------------------------------------------- toric_polytope
