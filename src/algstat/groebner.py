@@ -327,6 +327,13 @@ class _Reducers:
     def __len__(self):
         return len(self.items)
 
+    def copy(self) -> "_Reducers":
+        """The same reducers in an index whose appends leave this one as it is."""
+        new = _Reducers.__new__(_Reducers)
+        new.guard, new.ones = self.guard, self.ones
+        new.items, new.sigs, new.miss = self.items[:], self.sigs[:], self.miss[:]
+        return new
+
     def _absent(self, s: int) -> bytes:
         """One byte per variable: 1 where support s lacks it, else 0."""
         flags = (self.guard ^ s) >> (_FIELD - 1)  # variable i's flag in bit 64*i
@@ -1089,12 +1096,11 @@ def _colon_is_trivial(gb: GroebnerBasis, r) -> bool:
     argument (see saturate) holds for any r and order, a constant term
     included: the fibers of a precomputed LikelihoodIdeal in ml_degree
     make such remainders, and proving their p_i saturations trivial is
-    faster than eliminating t.  The step appends to a fresh index, so
-    the basis's own index, which normal_form scans, stays as it is.
+    faster than eliminating t.  The step appends to a copy of the
+    basis's index, so the index itself, which normal_form scans, stays
+    as it is.
     """
-    pack = _packing(gb.order, gb.ring.nvars)
-    index = _Reducers(pack, [t for _, _, t in gb._index().items])
-    return _signature_step(r, index, pack, stop=True)
+    return _signature_step(r, gb._index().copy(), _packing(gb.order, gb.ring.nvars), stop=True)
 
 
 def saturate_by_product(ideal: Ideal, factors) -> Ideal:
@@ -1323,10 +1329,14 @@ def _expand_var_token(token: str, lineno: int) -> list[str]:
     mr = _VAR_SPLIT_RE.match(right)
     if not ml or not mr or ml.group(1) != mr.group(1):
         raise ParseError(f"bad variable range {token!r}", lineno, 1)
-    if any(str(int(m.group(2))) != m.group(2) for m in (ml, mr)):
+    if any(m.group(2) != "0" and m.group(2)[0] == "0" for m in (ml, mr)):
         # a range expands to canonical spellings, so p_00..p_02 would make p_0..p_2
         raise ParseError(f"zero-padded index in variable range {token!r}", lineno, 1)
-    lo, hi = int(ml.group(2)), int(mr.group(2))
+    try:
+        lo, hi = int(ml.group(2)), int(mr.group(2))
+    except ValueError:  # past sys.get_int_max_str_digits()
+        digits = max(len(ml.group(2)), len(mr.group(2)))
+        raise ParseError(f"variable range index of {digits} digits is too long", lineno, 1) from None
     if lo > hi:
         raise ParseError(f"descending variable range {token!r}", lineno, 1)
     sep = "_" if "_" in left else ""
@@ -1383,8 +1393,11 @@ def _group_var_names(names) -> str:
     keys = []
     for name in names:
         m = _VAR_SPLIT_RE.match(name)
-        canonical = m and "_" in name and str(int(m.group(2))) == m.group(2)
-        keys.append((m.group(1), int(m.group(2))) if canonical else None)
+        canonical = m and "_" in name and (m.group(2) == "0" or m.group(2)[0] != "0")
+        try:
+            keys.append((m.group(1), int(m.group(2))) if canonical else None)
+        except ValueError:  # an index past sys.get_int_max_str_digits() joins no run
+            keys.append(None)
     tokens = []
     i = 0
     while i < len(names):

@@ -33,6 +33,7 @@ saturated at the coordinates.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 from .errors import DegenerateFiberError, InputError, UnstableCountError
@@ -45,7 +46,6 @@ from .groebner import (
     intersect,
     krull_dimension,
     minors,
-    mul_int_poly,
     quotient_dimension,
     saturate,
     saturate_by_product,
@@ -120,12 +120,21 @@ def _toric_relations(a: IntMatrix, ix: Ideal, ring: PolyRing, u) -> list:
     """I_A plus the 2x2 minors of A * [p u] (none if A has one row).
 
     ``ring`` starts with p_0..p_n and holds the data variables ``u``.
+    The minor of rows a and b, (a . p)(b . u) - (a . u)(b . p), is the
+    sum of (a_i b_j - a_j b_i) p_i u_j over i and j, built from integers
+    in one ``ring.poly`` call.  Row pairs go in combinations order, and
+    zero minors are dropped.
     """
-    p = ring.gens()[: a.ncols]
     gens = [map_to_ring(g, ring) for g in ix.generators]
-    if a.nrows > 1:
-        m = PolyMatrix([[p[i], u[i]] for i in range(a.ncols)], ring)
-        gens.extend(minors(2, mul_int_poly(a, m)).generators)
+    cols = range(a.ncols)
+    # the exponent vector of p_i * u_j
+    mono = [[x.terms[0][0][:i] + (1,) + x.terms[0][0][i + 1 :] for x in u] for i in cols]
+    for ra, rb in itertools.combinations(a.entries, 2):
+        terms = [
+            (mono[i][j], c) for i in cols for j in cols if (c := ra[i] * rb[j] - ra[j] * rb[i])
+        ]
+        if terms:
+            gens.append(ring.poly(terms))
     return gens
 
 

@@ -14,12 +14,15 @@ Model JSON (used by the CLI)::
 ``edges`` to describe a log-linear model directly.  pmf entries may be
 rational strings, decimal strings, or numbers, but not booleans;
 decimals are read as exact fractions, and a zero denominator is an
-error.
+error, as is a decimal whose exact fraction needs more digits than
+``sys.get_int_max_str_digits()``.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 
 from .errors import InputError
@@ -74,18 +77,47 @@ def derive_seed(seed: int, index: int) -> int:
     return SplitMix64((seed + (index + 1) * _GOLDEN) & _MASK64).next_u64()
 
 
+# a decimal as Fraction reads it: integer digits, fraction digits, exponent
+_DECIMAL_RE = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*\Z")
+
+
+def _too_long(text: str, limit: int) -> bool:
+    """Whether the exact value of a decimal needs more than ``limit`` digits.
+
+    m digits scaled by 10^k make a numerator of up to m + k digits when
+    k >= 0; when k < 0 the denominator 10^-k has 1 - k digits.  An
+    exponent with more digits than ``limit`` is past it either way.
+    """
+    match = _DECIMAL_RE.match(text)
+    if not match:
+        return False
+    whole, frac, exp = (g.replace("_", "") for g in match.groups(""))
+    magnitude = exp.lstrip("+-").lstrip("0") or "0"
+    if len(magnitude) > len(str(limit)):
+        return True
+    k = (-int(magnitude) if exp.startswith("-") else int(magnitude)) - len(frac)
+    m = len(whole) + len(frac)
+    return (m + k if k >= 0 else max(m, 1 - k)) > limit
+
+
 def _as_fraction(value) -> Fraction:
     """Read one probability exactly: the one reader of rationals from user input.
 
     Fractions and ints pass; a float is read as the decimal it prints
     as, not the binary value underneath; a string must be a rational or
-    a decimal.  Booleans and zero denominators are refused.
+    a decimal.  Booleans and zero denominators are refused, and so is a
+    decimal whose exact value needs more digits than
+    ``sys.get_int_max_str_digits()``, before ``Fraction`` computes its
+    power of ten.
     """
     if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
         value = str(value)
     if isinstance(value, str):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if limit and _too_long(value, limit):
+            raise ValueError(f"pmf entry {value!r} needs more than {limit} digits as an exact rational")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -213,6 +213,8 @@ class PolyRing:
         return self.poly([((0,) * i + (1,) + (0,) * (self.nvars - i - 1), 1) for i in range(self.nvars)])
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, PolyRing)
             and self.variables == other.variables
@@ -468,7 +470,7 @@ class Polynomial:
         for _, c in self.terms:
             d = c.denominator
             denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-        nums = [int(c * denom_lcm) for _, c in self.terms]
+        nums = [c.numerator * (denom_lcm // c.denominator) for _, c in self.terms]
         g = 0
         for v in nums:
             g = gcd(g, v)
@@ -630,20 +632,26 @@ class _Parser:
             except ValueError:
                 self._error("exponent of the product too large", tok)
 
+    def _int(self, tok: _Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            self._error(f"integer of {len(tok.text)} digits is too long", tok)
+
     def _factor(self) -> Polynomial:
         tok = self._peek()
         if tok is None:
             self._error("expected a number, variable, or '('")
         if tok.kind == "int":
             self._next()
-            num = int(tok.text)
+            num = self._int(tok)
             nxt = self._peek()
             if nxt is not None and nxt.kind == "/":
                 self._next()
                 den_tok = self._next()
                 if den_tok is None or den_tok.kind != "int":
                     self._error("expected a positive integer denominator", den_tok or tok)
-                den = int(den_tok.text)
+                den = self._int(den_tok)
                 if den == 0:
                     self._error("denominator must be positive", den_tok)
                 return self.ring.constant(Fraction(num, den))
@@ -658,7 +666,7 @@ class _Parser:
                 exp_tok = self._next()
                 if exp_tok is None or exp_tok.kind != "int":
                     self._error("expected a natural exponent", exp_tok or tok)
-                exp = int(exp_tok.text)
+                exp = self._int(exp_tok)
                 if exp > MAX_EXPONENT:
                     self._error("exponent too large", exp_tok)
             n = self.ring.nvars

@@ -509,6 +509,25 @@ def test_drv_bad_pmf_exits_one(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["drv", "mean", "--arity", "2", "--pmf", "1e-10000000,1"], "pmf entry '1e-10000000'"),
+    (["loglinear-matrix", "--model",
+      '{"variables":[{"name":"a","arity":2,"pmf":["1e-10000000","1"]}],"edges":[]}', "--inline"],
+     "variable 'a': pmf entry '1e-10000000'"),
+    (["groebner", "--ideal", "ring x;" + "7" * (sys.get_int_max_str_digits() + 1) + "*x", "--inline"],
+     "line 2, column 1:"),
+    (["groebner", "--ideal", "ring x;x^" + "7" * (sys.get_int_max_str_digits() + 1), "--inline"],
+     "line 2, column 3:"),
+])
+def test_overlong_numbers_exit_one_naming_where(capsys, argv, names):
+    # a decimal exponent once ran 8 s and a 4301-digit integer exited with
+    # Python's bare int-conversion message; both named no entry or column
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {names}")
+    assert len(err.splitlines()) == 1
+
+
 def test_guardrail_exits_two(capsys, monkeypatch, hw_file):
     def blow_up(*args, **kwargs):
         raise GuardrailError("candidate count exceeds the configured cap")

@@ -4,6 +4,7 @@ import gc
 import heapq
 import itertools
 import random
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
@@ -1556,6 +1557,26 @@ def test_one_signature_step_certifies_trivial_saturations_only():
     assert constant["proved"] >= 2 and constant["larger"] >= 2, constant
 
 
+def test_a_colon_step_that_finds_a_larger_saturation_leaves_the_basis_index_alone():
+    # the step appends to a copy of the basis's index; after it stops at
+    # a reduction to zero, the index that normal_form scans holds the
+    # same reducers, signatures and bitsets, and gives the same normal forms
+    checked = 0
+    for ideal, f in _certificate_cases():
+        gb = ideal.groebner()
+        index = gb._index()
+        before = (list(index.items), list(index.sigs), list(index.miss))
+        probes = [f] + [f * v + g for v, g in zip(ideal.ring.gens(), ideal.generators)]
+        forms = [normal_form(g, gb) for g in probes]
+        if not normal_form(f, gb).terms or _colon_is_trivial(gb, f):
+            continue
+        assert gb._index() is index
+        assert (index.items, index.sigs, index.miss) == before
+        assert [normal_form(g, gb) for g in probes] == forms
+        checked += 1
+    assert checked >= 20
+
+
 def test_a_saturation_by_a_member_of_the_ideal_eliminates_nothing(monkeypatch):
     # f in I makes I : f the unit ideal; with I's basis cached, its zero
     # remainder shows that, so saturate returns (1) with (1) as its cached
@@ -1867,6 +1888,19 @@ def test_parse_ideal_text_errors():
     with pytest.raises(ParseError) as exc:
         parse_ideal_text("ring x y\nx^9223372036854775807*x\n")
     assert exc.value.line == 2
+
+
+def test_ideal_text_with_overlong_indices():
+    # a range index past sys.get_int_max_str_digits() is a ParseError at
+    # the ring line, and a single name with such an index parses and
+    # prints, outside any range
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParseError) as exc:
+        parse_ideal_text(f"ring p_0..p_{digits}\np_0\n")
+    assert (exc.value.line, exc.value.column) == (1, 1)
+    assert "too long" in exc.value.reason
+    text = f"ring p_{digits} q_1 q_2 q_3\norder grevlex\np_{digits}*q_1 - q_2^2\n"
+    assert format_ideal(parse_ideal_text(text)) == text.replace("q_1 q_2 q_3", "q_1..q_3")
 
 
 def test_parse_ideal_text_error_names_one_location():

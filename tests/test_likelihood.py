@@ -20,6 +20,7 @@ from algstat import (
     LikelihoodIdeal,
     ModelGraph,
     DiscreteRandomVariable,
+    PolyMatrix,
     PolyRing,
     UnstableCountError,
     compute_lc,
@@ -32,9 +33,12 @@ from algstat import (
     krull_dimension,
     lc_ring,
     map_to_ring,
+    minors,
     ml_degree,
+    mul_int_poly,
     parse_polynomial,
     print_polynomial,
+    rational_normal_scroll,
     saturate,
     saturate_by_product,
     toric_ideal,
@@ -149,6 +153,44 @@ def test_lc_toric_is_saturated_at_every_coordinate(a):
     again = saturate_by_product(lc.ideal(), [sum(p[1:], p[0])] + p)
     assert ideal_equal(lc.ideal(), again)
     assert lc.generators == compute_lc_toric(a, saturation="full").generators
+
+
+def _toric_relations_by_minors(a, ix, ring, u):
+    """I_A plus the 2x2 minors of A * [p u], by polynomial matrix arithmetic."""
+    p = ring.gens()[: a.ncols]
+    gens = [map_to_ring(g, ring) for g in ix.generators]
+    if a.nrows > 1:
+        m = PolyMatrix([[p[i], u[i]] for i in range(a.ncols)], ring)
+        gens.extend(minors(2, mul_int_poly(a, m)).generators)
+    return gens
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_toric_matrices())
+@example(IntMatrix([[0, 1, 1, 2]]))  # one row: no minors
+@example(IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3], [1, 2, 3, 4]]))  # linearly dependent rows
+@example(IntMatrix([[1, 2, 0], [2, 4, 0], [0, 0, 3]]))  # proportional rows: a zero minor
+@example(IntMatrix([[0, 0], [1, 3]]))  # a zero row
+def test_toric_relations_are_the_minors_of_a_times_p_u(a):
+    # built from integers, generator for generator, in the same order and
+    # with the same zero minors dropped
+    ring = lc_ring(a.ncols - 1)
+    gens = ring.gens()
+    p0, p1 = gens[:2]
+    ix = Ideal(ring, [p0 * p1 - p0**2])
+    u = gens[a.ncols :]
+    assert algstat.likelihood._toric_relations(a, ix, ring, u) == _toric_relations_by_minors(a, ix, ring, u)
+
+
+def test_toric_relations_of_the_corpus_are_the_minors(corpus):
+    for name, a in corpus + [("scroll", rational_normal_scroll([2, 2, 3]))]:
+        model = toric_model(a)
+        n = model.ncols - 1
+        ring = lc_ring(n)
+        ix = toric_ideal(model)
+        u = ring.gens()[n + 1 :]
+        built = algstat.likelihood._toric_relations(model.matrix, ix, ring, u)
+        assert built == _toric_relations_by_minors(model.matrix, ix, ring, u), name
 
 
 def test_full_chain_from_known_bases_matches_the_chain_from_generators(corpus):

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -118,6 +120,24 @@ def test_drv_validation():
     for pmf in (["1/0", "1"], [True, False], ["x", "1"], [[1], 0]):
         with pytest.raises(ValueError):
             DiscreteRandomVariable(2, pmf)
+
+
+def test_drv_pmf_decimal_exponents_within_the_digit_limit():
+    # a decimal whose exact value needs more digits than
+    # sys.get_int_max_str_digits() is refused before Fraction computes
+    # its power of ten, and the error names the entry; 1e-10000000 once
+    # ran 8 s and failed with an int-conversion message naming neither
+    limit = sys.get_int_max_str_digits()
+    for entry in (f"1e-{limit}", f"1e{limit}", f"0.5e-{limit}", "1e-10000000", "1e" + "9" * 30):
+        with pytest.raises(ValueError, match=re.escape(f"pmf entry {entry!r}")):
+            DiscreteRandomVariable(2, [entry, "1"])
+    # 10^(limit - 1) has limit digits, so these are read exactly
+    small = f"1e-{limit - 1}"
+    rest = "0." + "9" * (limit - 1)
+    assert DiscreteRandomVariable(2, [small, rest]).pmf == (
+        Fraction(1, 10 ** (limit - 1)), 1 - Fraction(1, 10 ** (limit - 1))
+    )
+    assert DiscreteRandomVariable(2, ["2.5e-1", "75_0e-3"]).pmf == (Fraction(1, 4), Fraction(3, 4))
 
 
 def test_drv_sample_deterministic():
@@ -275,6 +295,9 @@ def test_parse_model_json_pmf():
     for entries in ('["1/0", "1"]', '[true, false]', '["x", "1"]'):
         with pytest.raises(InputError):
             pmf(entries)
+    # a decimal past the digit limit, named with its variable
+    with pytest.raises(InputError, match="variable 'a': pmf entry '1e-10000000'"):
+        pmf('["1e-10000000", "1"]')
 
 
 def test_parse_model_json_errors():

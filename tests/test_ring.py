@@ -1,7 +1,9 @@
 """Tests for polynomial rings, monomial orders, arithmetic, and parsing."""
 
 import random
+import sys
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le
 
 import pytest
@@ -316,6 +318,36 @@ def test_monic_and_primitive_part():
     assert print_polynomial(g.primitive_part()) == "x - y"
 
 
+def _primitive_part_by_fractions(f):
+    """primitive_part computed in Fractions: int(c * L) for L the lcm of the denominators."""
+    if not f.terms:
+        return f
+    scale = lcm(*(c.denominator for _, c in f.terms))
+    nums = [int(c * scale) for _, c in f.terms]
+    g = gcd(*nums) * (-1 if nums[0] < 0 else 1)
+    return f.ring.poly([(m, v // g) for (m, _), v in zip(f.terms, nums)])
+
+
+def test_primitive_part_matches_fraction_scaling():
+    rng = random.Random(53)
+    r = PolyRing(("x", "y", "z"), GREVLEX)
+    signs = {True: 0, False: 0}
+    big_content = 0
+    for _ in range(200):
+        f = _random_poly(r, rng, nterms=rng.randint(1, 5))
+        # scale by a random rational so contents above 1 and large
+        # denominators both occur
+        f = f * Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+        g = f.primitive_part()
+        assert g == _primitive_part_by_fractions(f)
+        if f.terms:
+            signs[f.terms[0][1] < 0] += 1
+            big_content += gcd(*(c.numerator for _, c in f.terms)) > 1
+            assert g.terms[0][1] > 0 and all(c.denominator == 1 for _, c in g.terms)
+    assert signs[True] >= 50 and signs[False] >= 50 and big_content >= 50, (signs, big_content)
+    assert r.zero().primitive_part() == r.zero()
+
+
 def test_differentiate():
     r = PolyRing(("p_0", "p_1", "p_2"), GREVLEX)
     f = parse_polynomial("4*p_0*p_2 - p_1^2", r)
@@ -489,6 +521,23 @@ def test_parse_rejects_huge_exponent():
     with pytest.raises(ParseError) as exc:
         parse_polynomial("x^9223372036854775807*x", r)
     assert exc.value.column == len("x^9223372036854775807") + 1  # the '*'
+
+
+def test_parse_rejects_overlong_integers():
+    # int() refuses more digits than sys.get_int_max_str_digits(); the
+    # parser names the token instead of passing on that bare ValueError
+    r = PolyRing(("x",), GREVLEX)
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    for text, column in (
+        (f"{digits}*x", 1),
+        (f"x^{digits}", 3),
+        (f"1/{digits}", 3),
+        (f"x + {digits}/2", 5),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(text, r)
+        assert (exc.value.line, exc.value.column) == (1, column), text[:20]
+        assert "too long" in exc.value.reason
 
 
 def test_print_formatting():
