@@ -39,7 +39,6 @@ from .ring import (
 from .groebner import (
     GroebnerBasis,
     Ideal,
-    PolyMatrix,
     buchberger,
     eliminate,
     format_ideal,
@@ -49,7 +48,6 @@ from .groebner import (
     is_zero_dimensional,
     krull_dimension,
     minors,
-    mul_int_poly,
     normal_form,
     parse_ideal_text,
     quotient_dimension,
@@ -110,7 +108,6 @@ __all__ = [
     "print_polynomial",
     "GroebnerBasis",
     "Ideal",
-    "PolyMatrix",
     "buchberger",
     "eliminate",
     "format_ideal",
@@ -120,7 +117,6 @@ __all__ = [
     "is_zero_dimensional",
     "krull_dimension",
     "minors",
-    "mul_int_poly",
     "normal_form",
     "parse_ideal_text",
     "quotient_dimension",

@@ -14,7 +14,7 @@ matrix file formats) or JSON with --format json.  Examples:
 
 Exit codes: 0 success, 1 bad input (parse errors, missing files, bad
 flags), 2 computational guardrail tripped (e.g. the standard-monomial
-cap).
+cap) or out of memory.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from .errors import GuardrailError, InputError
 from .exactmath import IntMatrix, format_int_matrix, parse_int_matrix
 from .groebner import Ideal, format_ideal, parse_ideal_text
-from .likelihood import LikelihoodIdeal, compute_lc, ml_degree
+from .likelihood import compute_lc, ml_degree
 from .models import DiscreteRandomVariable, ModelGraph, parse_model_json
 from .ring import GREVLEX, LEX, PolyRing, map_to_ring, print_polynomial
 from .toric import make_loglinear_matrix, rational_normal_scroll, toric_ideal, toric_model, toric_polytope
@@ -102,8 +102,6 @@ def emit_json(result, key: str | None = None) -> str:
     polynomial strings; integer matrices become string entries (exact
     at any size); scalars and lists are wrapped under ``key``.
     """
-    if isinstance(result, LikelihoodIdeal):
-        result = result.ideal()
     if isinstance(result, Ideal):
         payload = {
             "ring": {
@@ -131,8 +129,6 @@ def emit_json(result, key: str | None = None) -> str:
 def _format_result(result, fmt: str, key: str | None = None) -> str:
     if fmt == "json":
         return emit_json(result, key)
-    if isinstance(result, LikelihoodIdeal):
-        result = result.ideal()
     if isinstance(result, Ideal):
         return format_ideal(result)
     if isinstance(result, IntMatrix):
@@ -342,6 +338,9 @@ def run(argv) -> int:
         text = _COMMANDS[args.command](args)
     except GuardrailError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -67,8 +67,10 @@ returned is finished.  An elimination finishes only the elements of the
 block-order basis that are free of the auxiliary variables, which are
 already the elimination ideal's basis, and under grevlex returns them as
 the result's cached basis; the block ideal's full reduced basis is never
-formed, nor cached on it.  A likelihood correspondence keeps the basis
-its construction ends with (see likelihood.LikelihoodIdeal).  A
+formed, nor cached on it.  A likelihood correspondence is an Ideal
+that keeps the basis its construction ends with (see
+likelihood.LikelihoodIdeal).  Each of these results is built the one
+way an ideal over a reduced basis is built (Ideal._of_basis).  A
 saturation of a grevlex ideal I whose basis G is cached first reduces f
 by G.  A zero remainder means f is in I, and the saturation is the unit
 ideal.  Otherwise one signature step runs for G + (f) (see saturate).  If
@@ -83,10 +85,10 @@ stays a Groebner basis after t is added, so each pair within it has a
 standard representation.  The result is the same reduced basis.
 
 Also here: elimination via block orders, saturation and intersection
-by the auxiliary-variable trick (t*f - 1), minors of polynomial
-matrices, and the standard-monomial counting used to read off fiber
-cardinalities.  Auxiliary variables get fresh names, so a ring may use
-any variable names.
+by the auxiliary-variable trick (t*f - 1), minors of a matrix of
+polynomials given by its rows, and the standard-monomial counting used
+to read off fiber cardinalities.  Auxiliary variables get fresh names,
+so a ring may use any variable names.
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import GuardrailError, ParseError
-from .exactmath import IntMatrix
 from .ring import (
     GREVLEX,
     LEX,
@@ -118,7 +119,6 @@ from .ring import (
 __all__ = [
     "Ideal",
     "GroebnerBasis",
-    "PolyMatrix",
     "normal_form",
     "s_polynomial",
     "buchberger",
@@ -130,7 +130,6 @@ __all__ = [
     "intersect",
     "krull_dimension",
     "minors",
-    "mul_int_poly",
     "is_zero_dimensional",
     "quotient_dimension",
     "parse_ideal_text",
@@ -167,6 +166,16 @@ class Ideal:
             self._gb = buchberger(self)
         return self._gb
 
+    @staticmethod
+    def _of_basis(ring: PolyRing, basis, reducers=None) -> "Ideal":
+        """The ideal generated by ``basis``, a reduced Groebner basis in
+        ring's order, with that basis cached and, if given, its kernel
+        index ``reducers``."""
+        ideal = Ideal(ring, basis)
+        ideal._gb = GroebnerBasis(ideal, ideal.generators)
+        ideal._gb._reducers = reducers
+        return ideal
+
     def __repr__(self):
         gens = ", ".join(print_polynomial(g) for g in self.generators) or "0"
         return f"Ideal({gens})"
@@ -177,16 +186,16 @@ class GroebnerBasis:
 
     It keeps the ideal's ring and generators rather than the Ideal, whose
     cache holds the basis, so a basis and its ideal form no reference
-    cycle and are freed as soon as the last reference goes.
+    cycle and are freed as soon as the last reference goes.  Its order
+    is its ring's, the one its reducer index packs.
     """
 
-    __slots__ = ("ring", "generators", "basis", "order", "_reducers")
+    __slots__ = ("ring", "generators", "basis", "_reducers")
 
-    def __init__(self, ideal: Ideal, basis, order: MonomialOrder):
+    def __init__(self, ideal: Ideal, basis):
         self.ring = ideal.ring
         self.generators = ideal.generators
         self.basis = tuple(basis)
-        self.order = order
         # the basis as a kernel reducer index: buchberger hands over the
         # one it reduced the basis with, else _index builds it
         self._reducers = None
@@ -197,6 +206,10 @@ class GroebnerBasis:
         ideal = Ideal(self.ring, self.generators)
         ideal._gb = self
         return ideal
+
+    @property
+    def order(self) -> MonomialOrder:
+        return self.ring.order
 
     def _index(self) -> "_Reducers":
         """The basis as a kernel reducer index, in basis order (cached)."""
@@ -245,6 +258,9 @@ class _Packing:
     packed keys of the unit vectors, and key ints add as sort keys do.
     The radix exceeds every difference of two key entries of exponents
     below 2**64, so key ints compare exactly as the sort-key tuples do.
+    It is a power of two, so a weight is a sum of shifted entries, one
+    per nonzero entry of its unit's sort key, a few per variable: no
+    power of the radix is computed, and n variables cost n sort keys.
 
     ``(m + ones) & guard`` is the support of a packed monomial m whose
     guard bits are clear: ``ones`` fills the 63 low bits of every field,
@@ -268,9 +284,9 @@ class _Packing:
         units = [order.sort_key(tuple(int(i == j) for j in range(n))) for i in range(n)]
         width = len(units[0]) if units else 0
         span = max((sum(abs(u[j]) for u in units) for j in range(width)), default=0)
-        radix = 1 << (_FIELD + span.bit_length())
+        bits = _FIELD + span.bit_length()  # the radix is 2**bits
         self.weights = tuple(
-            sum(d * radix ** (width - 1 - j) for j, d in enumerate(u)) for u in units
+            sum(d << bits * (width - 1 - j) for j, d in enumerate(u) if d) for u in units
         )
 
     def exps(self, m) -> int:
@@ -637,7 +653,8 @@ def buchberger(ideal: Ideal, k: int = 0) -> GroebnerBasis:
     zero and one.
 
     When the ideal's leading generators are known to be a Groebner basis
-    already (``saturate`` marks them so), they are registered as
+    already (``saturate`` hands its GroebnerBasis to _eliminate_auxiliary
+    as the base, which marks them so), they are registered as
     reducers without forming S-pairs among them: each such pair has a
     standard representation over them, so it counts as treated, and the
     Gebauer-Moeller criteria need no more (Gebauer and Moeller, "On an
@@ -669,7 +686,7 @@ def buchberger(ideal: Ideal, k: int = 0) -> GroebnerBasis:
         out.append(
             Polynomial._raw(ring, tuple((unpack(m), Fraction(c, lc)) for _, m, c in t))
         )
-    gb = GroebnerBasis(Ideal(ring, out) if k else ideal, out, order)
+    gb = GroebnerBasis(Ideal(ring, out) if k else ideal, out)
     gb._reducers = reduced
     return gb
 
@@ -978,12 +995,10 @@ def eliminate(ideal: Ideal, k: int) -> Ideal:
     if sub.order != GREVLEX:
         return Ideal(sub, [sub.poly([(m[k:], c) for m, c in g.terms]) for g in basis])
     gens = [Polynomial._raw(sub, tuple((m[k:], c) for m, c in g.terms)) for g in basis]
-    out = Ideal(sub, gens)
-    out._gb = GroebnerBasis(out, gens, GREVLEX)
-    return out
+    return Ideal._of_basis(sub, gens)
 
 
-def _eliminate_auxiliary(ring: PolyRing, k: int, build, base=(), known=False) -> Ideal:
+def _eliminate_auxiliary(ring: PolyRing, k: int, build, base=()) -> Ideal:
     """Add k auxiliary variables to ring, build an ideal, eliminate them again.
 
     The auxiliary variables are named t_0..t_{k-1}, or t1_0.., t2_0..,
@@ -996,10 +1011,10 @@ def _eliminate_auxiliary(ring: PolyRing, k: int, build, base=(), known=False) ->
     k = 0 the extension ring is ``ring`` and the ideal is returned as
     built.
 
-    ``known`` says that ``base`` is a grevlex Groebner basis in ``ring``;
-    ``buchberger`` then does not pair it with itself.  block(k)
-    restricted to monomials free of the auxiliary variables is grevlex,
-    so it is still a Groebner basis there.
+    A ``base`` that is a GroebnerBasis, in ``ring``'s order and grevlex
+    when k > 0, is a known prefix: ``buchberger`` does not pair it with
+    itself.  block(k) restricted to monomials free of the auxiliary
+    variables is grevlex, so it is still a Groebner basis there.
     """
     taken = set(ring.variables)
     for i in itertools.count():
@@ -1009,7 +1024,7 @@ def _eliminate_auxiliary(ring: PolyRing, k: int, build, base=(), known=False) ->
     ext = PolyRing(names + ring.variables, MonomialOrder.block(k) if k else ring.order)
     gens = ext.gens()
     ideal = Ideal(ext, [map_to_ring(g, ext) for g in base] + build(gens[:k], gens[k:]))
-    if known:
+    if isinstance(base, GroebnerBasis):
         ideal._known = len(base)
     elim = eliminate(ideal, k)
     if elim.ring == ring:
@@ -1074,18 +1089,16 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     if gb is not None:
         reducers = gb._index()
         r = _reduce_full(_primitive_terms(f, _packing(GREVLEX, ring.nvars)), reducers)
-        if not r or _colon_is_trivial(gb, r):
-            out = Ideal(ring, gb.basis if r else [ring.one()])
-            out._gb = GroebnerBasis(out, out.generators, GREVLEX)
-            out._gb._reducers = reducers if r else None
-            return out
+        if not r:
+            return Ideal._of_basis(ring, [ring.one()])
+        if _colon_is_trivial(gb, r):
+            return Ideal._of_basis(ring, gb.basis, reducers)
 
     def build(aux, _):
         t = aux[0]
         return [t * map_to_ring(f, t.ring) - 1]
 
-    base = ideal.generators if gb is None else gb.basis
-    return _eliminate_auxiliary(ring, 1, build, base, known=gb is not None)
+    return _eliminate_auxiliary(ring, 1, build, ideal.generators if gb is None else gb)
 
 
 def _colon_is_trivial(gb: GroebnerBasis, r) -> bool:
@@ -1169,63 +1182,7 @@ def krull_dimension(gb: GroebnerBasis) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomial matrices
-
-
-class PolyMatrix:
-    """Immutable rectangular matrix of polynomials over one ring."""
-
-    __slots__ = ("ring", "entries", "ncols")
-
-    def __init__(self, entries, ring: PolyRing | None = None):
-        rows = tuple(tuple(row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows in matrix")
-        else:
-            width = 0
-        if ring is None:
-            if not rows or width == 0:
-                raise ValueError("an empty PolyMatrix needs an explicit ring")
-            ring = rows[0][0].ring
-        for r in rows:
-            for e in r:
-                if not isinstance(e, Polynomial) or e.ring != ring:
-                    raise ValueError("all entries must be polynomials in one ring")
-        self.ring = ring
-        self.entries = rows
-        self.ncols = width
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __repr__(self):
-        return f"PolyMatrix<{self.nrows}x{self.ncols} over {self.ring!r}>"
-
-
-def mul_int_poly(a: IntMatrix, m: PolyMatrix) -> PolyMatrix:
-    """Product of an integer matrix with a polynomial matrix."""
-    if a.ncols != m.nrows:
-        raise ValueError(f"cannot multiply {a.nrows}x{a.ncols} by {m.nrows}x{m.ncols}")
-    ring = m.ring
-    out = []
-    for i in range(a.nrows):
-        row = []
-        for j in range(m.ncols):
-            acc = ring.zero()
-            for k in range(a.ncols):
-                c = a[i, k]
-                if c:
-                    acc = acc + m[k, j] * c
-            row.append(acc)
-        out.append(row)
-    return PolyMatrix(out, ring)
+# minors
 
 
 def _det(rows) -> Polynomial:
@@ -1243,20 +1200,29 @@ def _det(rows) -> Polynomial:
     return acc
 
 
-def minors(k: int, m: PolyMatrix) -> Ideal:
-    """The ideal of all k x k minors of a polynomial matrix."""
+def minors(k: int, rows) -> Ideal:
+    """The ideal of all k x k minors of a matrix given by its rows.
+
+    The rows are sequences of polynomials over one ring, all of one
+    length; ragged rows or mixed rings raise ValueError.  Row sets, then
+    column sets, go in combinations order, and zero minors are dropped.
+    """
+    rows = [tuple(row) for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged rows in matrix")
     if k < 1:
         raise ValueError("minor size must be at least 1")
-    if k > min(m.nrows, m.ncols):
-        raise ValueError(f"no {k}x{k} minors in a {m.nrows}x{m.ncols} matrix")
-    gens = []
-    for rows in itertools.combinations(range(m.nrows), k):
-        for cols in itertools.combinations(range(m.ncols), k):
-            sub = [[m[i, j] for j in cols] for i in rows]
-            d = _det(sub)
-            if d.terms:
-                gens.append(d)
-    return Ideal(m.ring, gens)
+    if k > min(len(rows), ncols):
+        raise ValueError(f"no {k}x{k} minors in a {len(rows)}x{ncols} matrix")
+    ring = rows[0][0].ring
+    if any(not isinstance(e, Polynomial) or e.ring != ring for row in rows for e in row):
+        raise ValueError("all entries must be polynomials in one ring")
+    return Ideal(ring, [
+        _det([[rows[i][j] for j in cols] for i in picked])
+        for picked in itertools.combinations(range(len(rows)), k)
+        for cols in itertools.combinations(range(ncols), k)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -1316,32 +1282,39 @@ def quotient_dimension(gb: GroebnerBasis) -> int:
 #   order grevlex              (optional; lex or grevlex, default grevlex)
 #   4*p_0*p_2 - p_1^2          (one polynomial per line)
 #
-# '#' starts a comment; blank lines are ignored.
+# '#' starts a comment; blank lines are ignored.  The ring line names at
+# most _MAX_TEXT_VARIABLES variables; a range's length is checked before
+# it is expanded, so p_0..p_400000 is refused at once.
 
+_MAX_TEXT_VARIABLES = 1024
 _VAR_SPLIT_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*?)_?([0-9]+)\Z")
 
 
-def _expand_var_token(token: str, lineno: int) -> list[str]:
+def _expand_var_token(token: str, lineno: int, room: int) -> list[str]:
+    """The names a ring-line token stands for; ParseError past ``room`` of them."""
+    lo = hi = 0
+    if ".." in token:
+        left, right = token.split("..", 1)
+        ml = _VAR_SPLIT_RE.match(left)
+        mr = _VAR_SPLIT_RE.match(right)
+        if not ml or not mr or ml.group(1) != mr.group(1):
+            raise ParseError(f"bad variable range {token!r}", lineno, 1)
+        if any(m.group(2) != "0" and m.group(2)[0] == "0" for m in (ml, mr)):
+            # a range expands to canonical spellings, so p_00..p_02 would make p_0..p_2
+            raise ParseError(f"zero-padded index in variable range {token!r}", lineno, 1)
+        try:
+            lo, hi = int(ml.group(2)), int(mr.group(2))
+        except ValueError:  # past sys.get_int_max_str_digits()
+            digits = max(len(ml.group(2)), len(mr.group(2)))
+            raise ParseError(f"variable range index of {digits} digits is too long", lineno, 1) from None
+        if lo > hi:
+            raise ParseError(f"descending variable range {token!r}", lineno, 1)
+    if hi - lo >= room:  # before a range is expanded
+        raise ParseError(f"the ring line names more than {_MAX_TEXT_VARIABLES} variables", lineno, 1)
     if ".." not in token:
         return [token]
-    left, right = token.split("..", 1)
-    ml = _VAR_SPLIT_RE.match(left)
-    mr = _VAR_SPLIT_RE.match(right)
-    if not ml or not mr or ml.group(1) != mr.group(1):
-        raise ParseError(f"bad variable range {token!r}", lineno, 1)
-    if any(m.group(2) != "0" and m.group(2)[0] == "0" for m in (ml, mr)):
-        # a range expands to canonical spellings, so p_00..p_02 would make p_0..p_2
-        raise ParseError(f"zero-padded index in variable range {token!r}", lineno, 1)
-    try:
-        lo, hi = int(ml.group(2)), int(mr.group(2))
-    except ValueError:  # past sys.get_int_max_str_digits()
-        digits = max(len(ml.group(2)), len(mr.group(2)))
-        raise ParseError(f"variable range index of {digits} digits is too long", lineno, 1) from None
-    if lo > hi:
-        raise ParseError(f"descending variable range {token!r}", lineno, 1)
     sep = "_" if "_" in left else ""
-    stem = ml.group(1)
-    return [f"{stem}{sep}{i}" for i in range(lo, hi + 1)]
+    return [f"{ml.group(1)}{sep}{i}" for i in range(lo, hi + 1)]
 
 
 def parse_ideal_text(text: str) -> Ideal:
@@ -1359,7 +1332,7 @@ def parse_ideal_text(text: str) -> Ideal:
         raise ParseError("ideal text must start with a 'ring' line", lineno, 1)
     names: list[str] = []
     for token in parts[1:]:
-        names.extend(_expand_var_token(token, lineno))
+        names.extend(_expand_var_token(token, lineno, _MAX_TEXT_VARIABLES - len(names)))
     body = lines[1:]
     order = GREVLEX
     tokens = body[0][1].split() if body else []

@@ -17,6 +17,10 @@ ideal lives in Q[p, u] and is computed here two ways:
   u_i = p_i * sum_j lambda_j d f_j / d p_i, saturation, then
   elimination of the multipliers.
 
+Either way the result is a ``LikelihoodIdeal``: an Ideal whose
+generators are the primitive forms of its reduced grevlex basis, with
+that basis kept, so its ``groebner()`` recomputes nothing.
+
 The ML degree is the number of critical points for generic data.
 ``ml_degree`` puts seeded random integer data u* into the construction
 before any Groebner work, so it never builds a correspondence: it
@@ -41,7 +45,6 @@ from .exactmath import IntMatrix
 from .groebner import (
     GroebnerBasis,
     Ideal,
-    PolyMatrix,
     _eliminate_auxiliary,
     intersect,
     krull_dimension,
@@ -63,40 +66,35 @@ __all__ = [
     "ml_degree",
 ]
 
-class LikelihoodIdeal:
+class LikelihoodIdeal(Ideal):
     """The likelihood correspondence ideal in Q[p_0..p_n, u_0..u_n].
 
-    ``mode`` records which construction produced it ("toric" or
-    "lagrange").  Either way the ideal is saturated at (sum p)(prod p):
-    the Lagrange path saturates at each factor; the toric path
-    eliminates one multiplier from a prime ideal that misses that
-    product, which gives the same ideal with no saturation (see
-    ``compute_lc_toric``).
+    It is an Ideal, with one more attribute: ``mode`` records which
+    construction produced it ("toric" or "lagrange").  Either way the
+    ideal is saturated at (sum p)(prod p): the Lagrange path saturates
+    at each factor; the toric path eliminates one multiplier from a
+    prime ideal that misses that product, which gives the same ideal
+    with no saturation (see ``compute_lc_toric``).
 
     The generators are the primitive integer forms of the ideal's
     reduced grevlex basis.  Both constructions end with that basis in
-    hand and pass it as ``basis``, which is kept: ``ideal()`` returns an
-    Ideal over the generators with the basis cached, so its
+    hand and pass it as ``basis``, which is kept as the cached basis:
     ``groebner()``, and the ``ideal_contains``, ``ideal_equal`` or
     ``krull_dimension`` work on it, recompute nothing.  Without
     ``basis`` nothing is cached.
     """
 
-    __slots__ = ("ring", "generators", "mode", "_gb")
+    __slots__ = ("mode",)
 
     def __init__(self, ring: PolyRing, generators, mode: str, basis=None):
-        self.ring = ring
-        self.generators = tuple(generators)
+        super().__init__(ring, generators)
         self.mode = mode
-        self._gb = None
         if basis is not None:
-            self._gb = GroebnerBasis(Ideal(ring, self.generators), basis, GREVLEX)
+            self._gb = GroebnerBasis(self, basis)
 
     def ideal(self) -> Ideal:
-        """The correspondence as an Ideal over the generators, its basis cached when kept."""
-        if self._gb is None:
-            return Ideal(self.ring, self.generators)
-        return self._gb.ideal
+        """The correspondence itself, which is an Ideal."""
+        return self
 
     def __iter__(self):
         return iter(self.generators)
@@ -324,13 +322,7 @@ def compute_lc_general(ideal: Ideal, saturate_singular: bool = False) -> Likelih
     # correspondence is (1), singular saturation or not
     if saturate_singular and ideal.generators and not _is_unit(sat_p.generators):
         codim = p_ring.nvars - krull_dimension(ideal.groebner())
-        jac = PolyMatrix(
-            [
-                [g.differentiate(i) for i in range(p_ring.nvars)]
-                for g in ideal.generators
-            ],
-            p_ring,
-        )
+        jac = [[g.differentiate(i) for i in range(p_ring.nvars)] for g in ideal.generators]
         sing = minors(codim, jac)
         if not sing.generators:
             raise ValueError("the Jacobian has no nonzero minors of codimension size")

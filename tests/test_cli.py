@@ -538,6 +538,14 @@ def test_guardrail_exits_two(capsys, monkeypatch, hw_file):
     assert "cap" in err
 
 
+def test_out_of_memory_exits_two_with_one_error_line(capsys, monkeypatch, hw_file):
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(algstat.cli, "compute_lc", exhaust)
+    assert _run(capsys, "compute-lc", hw_file) == (2, "", "error: out of memory\n")
+
+
 def test_runs_share_one_parser_and_print_what_fresh_parsers_print(capsys, monkeypatch):
     # a usage error, a success, --help and another subcommand, in that
     # order, through the one parser, then each through a fresh parser

@@ -23,7 +23,6 @@ from algstat import (
     IntMatrix,
     MonomialOrder,
     ParseError,
-    PolyMatrix,
     PolyRing,
     buchberger,
     compute_lc_general,
@@ -37,7 +36,6 @@ from algstat import (
     map_to_ring,
     minors,
     ml_degree,
-    mul_int_poly,
     normal_form,
     parse_ideal_text,
     parse_polynomial,
@@ -51,6 +49,7 @@ from algstat import (
 import algstat.groebner
 from algstat.exactmath import det
 from algstat.groebner import (
+    _Packing,
     _Reducers,
     _det,
     _divide,
@@ -201,6 +200,22 @@ def test_normal_form_matches_division_oracle_on_long_inputs():
             rescaled += _divide(p, reducers)[1] > 1
             assert normal_form(f, divisors).terms == _oracle_remainder(f, divisors, order)
     assert rescaled >= 16
+
+
+def test_packing_weights_are_the_unit_sort_keys_in_mixed_radix():
+    # weight i is sum_j d_j * radix^(width - 1 - j) over the sort key d of
+    # unit vector i, with the radix 2^64 times the smallest power of two
+    # above the largest column total of |d_j|
+    for order in (LEX, GREVLEX, MonomialOrder.block(1), MonomialOrder.block(2)):
+        for n in (2, 3, 7, 40, 101):
+            units = [order.sort_key(tuple(int(i == j) for j in range(n))) for i in range(n)]
+            width = len(units[0])
+            span = max(sum(abs(u[j]) for u in units) for j in range(width))
+            radix = 2 ** (64 + span.bit_length())
+            expected = tuple(
+                sum(d * radix ** (width - 1 - j) for j, d in enumerate(u)) for u in units
+            )
+            assert _Packing(order, n).weights == expected, (order.name, n)
 
 
 def test_normal_form_skips_bucket_heads_that_cancel():
@@ -466,7 +481,7 @@ def test_normal_form_by_groebner_basis_matches_its_list():
     rng = random.Random(67)
     r = _ring(("x", "y", "z"))
     gb = _ideal(r, "x^2 - 2*y*z", "3*x*y - z^2", "y^3 - x").groebner()
-    built = GroebnerBasis(gb.ideal, gb.basis, gb.order)
+    built = GroebnerBasis(gb.ideal, gb.basis)
     for _ in range(20):
         f = _random_fraction_poly(r, rng, 5, 4)
         expected = normal_form(f, list(gb.basis))
@@ -812,7 +827,9 @@ def _saturation_inputs():
     pu = _ring(("p_0", "p_1", "p_2", "u_0", "u_1", "u_2"))
     p, u = pu.gens()[:3], pu.gens()[3:]
     a = IntMatrix([[2, 1, 0], [0, 1, 2]])
-    relations = minors(2, mul_int_poly(a, PolyMatrix([[p[i], u[i]] for i in range(3)], pu)))
+    rows = [[sum((c * x for c, x in zip(row, col) if c), pu.zero()) for col in (p, u)]
+            for row in a.entries]
+    relations = minors(2, rows)
     conic = [4 * p[0] * p[2] - p[1] ** 2] + list(relations.generators)
     yield conic, sum(p[1:], p[0])
     rng = random.Random(151)
@@ -1181,7 +1198,8 @@ def test_eliminate_auxiliary_with_no_auxiliary_variable_returns_the_built_ideal(
         assert seen == [((), (x, y))]
         assert out.ring == r and out.generators == (x * y, x - y)
         assert out._known == 0
-        assert _eliminate_auxiliary(r, 0, build, [x * y], known=True)._known == 1
+        # a base given as a Groebner basis is the known prefix
+        assert _eliminate_auxiliary(r, 0, build, Ideal(r, [x * y]).groebner())._known == 1
 
 
 def test_eliminate_restricts_the_ring_order():
@@ -1642,6 +1660,20 @@ def test_saturate_ignores_a_basis_cached_under_another_order():
     assert ideal_equal(sat, saturate(_ideal(r, *gens), z))
 
 
+def test_groebner_basis_order_is_its_rings():
+    # a basis takes its order from its ring, so it cannot disagree with
+    # the order its reducer index packs
+    for order in (LEX, GREVLEX, MonomialOrder.block(1)):
+        r = _ring(("x", "y", "z"), order)
+        gb = _ideal(r, "x^2 - 2*y*z", "3*x*y - z^2", "y^3 - x").groebner()
+        assert gb.order == r.order == order
+        assert GroebnerBasis(gb.ideal, gb.basis).order == order
+        with pytest.raises(AttributeError):
+            gb.order = GREVLEX
+    out = eliminate(_ideal(_ring(("a", "x", "y")), "x - a^2", "y - a^3"), 1)
+    assert out.groebner().order == out.ring.order == GREVLEX
+
+
 def test_groebner_basis_keeps_the_ideal_it_came_from():
     r = _ring(("x", "y", "z"))
     i = _ideal(r, "x^2 - 2*y*z", "3*x*y - z^2", "y^3 - x")
@@ -1903,6 +1935,23 @@ def test_ideal_text_with_overlong_indices():
     assert format_ideal(parse_ideal_text(text)) == text.replace("q_1 q_2 q_3", "q_1..q_3")
 
 
+def test_parse_ideal_text_caps_the_ring_line():
+    # the ring line names at most 1024 variables; a range's length is
+    # checked before it is expanded, so a huge range fails at once
+    assert parse_ideal_text("ring p_0..p_1023\np_0\n").ring.nvars == 1024
+    for line in (
+        "ring p_0..p_1024",
+        "ring x p_0..p_1023",
+        "ring p_0..p_1023 x",
+        "ring p_0..p_400000",
+        f"ring p_0..p_{'9' * 4000}",
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_ideal_text(f"{line}\np_0\n")
+        assert (exc.value.line, exc.value.column) == (1, 1), line
+        assert "more than 1024 variables" in exc.value.reason, line
+
+
 def test_parse_ideal_text_error_names_one_location():
     with pytest.raises(ParseError) as exc:
         parse_ideal_text("ring x y\n\nx - y\nx + (y))\n")
@@ -1965,10 +2014,11 @@ def test_ideal_file_round_trip_keeps_index_spelling(names, ring_line):
 def test_poly_matrix_and_minors():
     r = _ring(("p_0", "p_1", "p_2", "p_3"))
     p = r.gens()
-    m = PolyMatrix([[p[0], p[1], p[2]], [p[1], p[2], p[3]]])
-    assert m.nrows == 2
-    assert m.ncols == 3
+    m = [[p[0], p[1], p[2]], [p[1], p[2], p[3]]]
     i = minors(2, m)
+    # the three 2x2 minors of a 2x3 matrix, none of them zero
+    assert len(i.generators) == 3
+    assert minors(2, (iter(row) for row in m)).generators == i.generators
     expect = _ideal(
         r,
         "p_0*p_2 - p_1^2",
@@ -1980,13 +2030,13 @@ def test_poly_matrix_and_minors():
 
 def test_minors_size_one():
     r = _ring(("x", "y"))
-    m = PolyMatrix([[r.gen(0), r.gen(1)]])
+    m = [[r.gen(0), r.gen(1)]]
     assert ideal_equal(minors(1, m), _ideal(r, "x", "y"))
 
 
 def test_minors_rejects_oversize():
     r = _ring(("x",))
-    m = PolyMatrix([[r.gen(0)]])
+    m = [[r.gen(0)]]
     with pytest.raises(ValueError):
         minors(2, m)
     with pytest.raises(ValueError):
@@ -1996,20 +2046,25 @@ def test_minors_rejects_oversize():
 def test_poly_matrix_rejects_mixed_rings():
     a = _ring(("x",))
     b = _ring(("y",))
-    with pytest.raises(ValueError):
-        PolyMatrix([[a.gen(0), b.gen(0)]])
+    with pytest.raises(ValueError, match="one ring"):
+        minors(1, [[a.gen(0), b.gen(0)]])
+    with pytest.raises(ValueError, match="one ring"):
+        minors(1, [[a.gen(0)], [b.gen(0)]])
+    with pytest.raises(ValueError, match="one ring"):
+        minors(1, [[a.gen(0), 1]])
 
 
 def test_poly_matrix_rejects_ragged_rows_and_ringless_empty_input():
     r = _ring(("x", "y"))
     x, y = r.gens()
-    with pytest.raises(ValueError):
-        PolyMatrix([[x, y], [x]])
+    with pytest.raises(ValueError, match="ragged"):
+        minors(1, [[x, y], [x]])
+    with pytest.raises(ValueError, match="ragged"):
+        minors(1, [[x], [x, y]])
+    # an empty matrix has no ring to read and no minors
     for entries in ([], [[]]):
-        with pytest.raises(ValueError):
-            PolyMatrix(entries)
-    empty = PolyMatrix([], r)
-    assert (empty.nrows, empty.ncols, empty.ring) == (0, 0, r)
+        with pytest.raises(ValueError, match="no 1x1 minors"):
+            minors(1, entries)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -2038,18 +2093,3 @@ def test_laplace_determinant_matches_bareiss_at_integer_points(n):
 
             m = IntMatrix([[value(e) for e in row] for row in rows])
             assert value(d) == det(m)
-
-
-def test_mul_int_poly():
-    r = _ring(("p_0", "p_1", "u_0", "u_1"))
-    m = PolyMatrix([
-        [parse_polynomial("p_0", r), parse_polynomial("u_0", r)],
-        [parse_polynomial("p_1", r), parse_polynomial("u_1", r)],
-    ])
-    a = IntMatrix([[1, 1], [0, 1]])
-    out = mul_int_poly(a, m)
-    assert print_polynomial(out.entries[0][0]) == "p_0 + p_1"
-    assert print_polynomial(out.entries[0][1]) == "u_0 + u_1"
-    assert print_polynomial(out.entries[1][0]) == "p_1"
-    with pytest.raises(ValueError):
-        mul_int_poly(IntMatrix([[1, 2, 3]]), m)

@@ -20,7 +20,6 @@ from algstat import (
     LikelihoodIdeal,
     ModelGraph,
     DiscreteRandomVariable,
-    PolyMatrix,
     PolyRing,
     UnstableCountError,
     compute_lc,
@@ -35,7 +34,6 @@ from algstat import (
     map_to_ring,
     minors,
     ml_degree,
-    mul_int_poly,
     parse_polynomial,
     print_polynomial,
     rational_normal_scroll,
@@ -160,8 +158,9 @@ def _toric_relations_by_minors(a, ix, ring, u):
     p = ring.gens()[: a.ncols]
     gens = [map_to_ring(g, ring) for g in ix.generators]
     if a.nrows > 1:
-        m = PolyMatrix([[p[i], u[i]] for i in range(a.ncols)], ring)
-        gens.extend(minors(2, mul_int_poly(a, m)).generators)
+        rows = [[sum((c * x for c, x in zip(row, col) if c), ring.zero()) for col in (p, u)]
+                for row in a.entries]
+        gens.extend(minors(2, rows).generators)
     return gens
 
 
@@ -506,6 +505,32 @@ def test_correspondences_keep_their_reduced_basis(corpus, hw_ideal, monkeypatch)
         assert gb.basis == original(Ideal(lc.ring, lc.generators)).basis, lc
     # a LikelihoodIdeal made without a basis caches none
     assert LikelihoodIdeal(lc.ring, lc.generators, lc.mode).ideal()._gb is None
+
+
+def test_correspondences_are_ideals_that_hand_over_their_kept_basis(corpus, hw_ideal, monkeypatch):
+    # a LikelihoodIdeal is an Ideal, its own ideal(), and groebner()
+    # returns the basis its construction ended with, with no buchberger
+    lcs = [compute_lc_toric(a) for _, a in corpus] + [compute_lc_general(hw_ideal)]
+    bases = [algstat.groebner.buchberger(Ideal(lc.ring, lc.generators)) for lc in lcs]
+
+    def fail(*args):
+        raise AssertionError("buchberger ran on a kept basis")
+
+    monkeypatch.setattr(algstat.groebner, "buchberger", fail)
+    for lc, expected in zip(lcs, bases):
+        assert isinstance(lc, Ideal) and lc.ideal() is lc
+        gb = lc.groebner()
+        assert gb is lc.groebner() and gb.basis == expected.basis, lc
+        assert gb.ring is lc.ring and gb.generators == lc.generators and gb.order == GREVLEX
+        assert tuple(g.primitive_part() for g in gb.basis) == lc.generators, lc
+
+
+def test_lagrange_construction_takes_a_correspondence_as_a_model_ideal(rnc2_matrix):
+    # a correspondence is an Ideal in Q[p, u], so the Lagrange path reads
+    # it as a model and refuses its variables u_0..u_n as data names
+    lc = compute_lc(rnc2_matrix)
+    with pytest.raises(InputError, match="data name"):
+        compute_lc_general(lc)
 
 
 # ---------------------------------------------------------------- dispatch

@@ -13,7 +13,6 @@ from algstat import (
     LikelihoodIdeal,
     ModelGraph,
     MonomialOrder,
-    PolyMatrix,
     PolyRing,
     SplitMix64,
     compute_lc,
@@ -23,7 +22,6 @@ from algstat import (
     map_to_ring,
     minors,
     ml_degree,
-    mul_int_poly,
     rational_normal_scroll,
     run,
     saturate_by_product,
@@ -188,8 +186,10 @@ def _toric_fiber_by_minors(model, data):
     p = ring.gens()
     gens = list(ix.generators) + [ring.sum_of_gens() - 1]
     if a.nrows > 1:
-        m = PolyMatrix([[p[j], ring.constant(data[j])] for j in range(a.ncols)], ring)
-        gens += minors(2, mul_int_poly(a, m)).generators
+        u = [ring.constant(x) for x in data]
+        rows = [[sum((c * x for c, x in zip(row, col) if c), ring.zero()) for col in (p, u)]
+                for row in a.entries]
+        gens += minors(2, rows).generators
     return Ideal(ring, gens)
 
 
